@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pmr_text::vocab::{TermId, Vocabulary};
+use pmr_text::vocab::{LocalIds, TermId, Vocabulary};
 
 use crate::vector::SparseVector;
 
@@ -144,19 +144,13 @@ impl BagVectorizer {
 #[derive(Debug, Clone)]
 pub struct IndexedVectorizer {
     weighting: WeightingScheme,
-    /// Global gram id → dense local dimension, in first-seen order;
-    /// indexed by global id, [`UNSEEN`] marks grams not in the fit. A flat
-    /// array (global vocabularies are dense and bounded by the shared gram
-    /// table) turns every fit/transform lookup into an O(1) index.
-    local: Vec<TermId>,
+    /// Global gram id → dense local dimension, in first-seen order.
+    local: LocalIds,
     /// Document frequency per local dimension.
     df: Vec<u32>,
     /// Number of fitted documents `|D|`.
     num_docs: usize,
 }
-
-/// Sentinel in [`IndexedVectorizer::local`] for global ids outside the fit.
-const UNSEEN: TermId = TermId::MAX;
 
 impl IndexedVectorizer {
     /// Fit on pre-interned training documents.
@@ -165,26 +159,18 @@ impl IndexedVectorizer {
         D: IntoIterator,
         D::Item: AsRef<[TermId]>,
     {
-        let mut local: Vec<TermId> = Vec::new();
+        let mut local = LocalIds::new();
         let mut df: Vec<u32> = Vec::new();
         let mut num_docs = 0usize;
         let mut seen_in_doc: Vec<usize> = Vec::new(); // doc-stamp per dim
         for doc in docs {
             num_docs += 1;
             for &gram in doc.as_ref() {
-                let g = gram as usize;
-                if g >= local.len() {
-                    local.resize(g + 1, UNSEEN);
-                }
-                let id = if local[g] == UNSEEN {
-                    let next = df.len() as TermId;
-                    local[g] = next;
+                let id = local.intern(gram);
+                if id as usize == df.len() {
                     df.push(0);
                     seen_in_doc.push(0);
-                    next
-                } else {
-                    local[g]
-                };
+                }
                 if seen_in_doc[id as usize] != num_docs {
                     seen_in_doc[id as usize] = num_docs;
                     df[id as usize] += 1;
@@ -228,10 +214,8 @@ impl IndexedVectorizer {
         }
         let mut ids: Vec<TermId> = Vec::with_capacity(n_d);
         for &gram in grams {
-            if let Some(&id) = self.local.get(gram as usize) {
-                if id != UNSEEN {
-                    ids.push(id);
-                }
+            if let Some(id) = self.local.get(gram) {
+                ids.push(id);
             }
         }
         ids.sort_unstable();

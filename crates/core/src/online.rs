@@ -180,13 +180,14 @@ impl OnlineGraphModel {
         terms.into_iter().map(str::to_owned).collect()
     }
 
-    /// Build (and intern) a candidate's graph exactly as [`Self::score`]
-    /// does, but skip the comparison, returning the exact `0.0` it would
-    /// produce. The serving engine calls this for gated-out candidates so
-    /// the space's interning sequence — and therefore every later score's
-    /// bits — stays identical to the exhaustive path.
+    /// Intern a candidate's grams exactly as [`Self::score`] does, but skip
+    /// building and comparing its graph, returning the exact `0.0` the
+    /// comparison would produce. The serving engine calls this for
+    /// gated-out candidates so the space's interning sequence — and
+    /// therefore every later score's bits — stays identical to the
+    /// exhaustive path.
     pub fn intern_only<S: AsRef<str>>(&mut self, grams: &[S]) -> f64 {
-        let _g = self.space.graph_from_grams(grams, self.window);
+        self.space.intern(grams);
         0.0
     }
 }

@@ -24,8 +24,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use pmr_bag::{AggregationFunction, IndexedVectorizer, RocchioParams, ScoringKernel, SparseVector};
-use pmr_graph::{GraphSpace, NGramGraph};
+use pmr_graph::NGramGraph;
 use pmr_sim::{TweetId, UserId};
+use pmr_text::vocab::{LocalIds, TermId};
 use pmr_topics::pooling::{pool_indexed, PoolInput};
 use pmr_topics::{
     BtmConfig, BtmModel, HdpConfig, HdpModel, HldaConfig, HldaModel, Labeler, LdaConfig, LdaModel,
@@ -188,48 +189,43 @@ pub fn score_configuration(
             let table = prepared.gram_table(GramKind::of(*char_grams), *n);
             context_scores(prepared, source, users, |train, test, _pos_flags| {
                 let t0 = Instant::now();
-                let mut space = GraphSpace::new();
+                // Vertex ids: the table's gram ids remapped in first-seen
+                // order, which are the ids a per-user `GraphSpace`
+                // interning the gram strings would assign. Edge keys, and
+                // with them the similarities' summation order, match.
+                let mut vertices = LocalIds::new();
                 let mut user_model = NGramGraph::new();
                 for &id in train {
-                    let g = space.graph_from_grams(&table.doc_terms(id), *n);
-                    user_model.merge(&g);
+                    let ids: Vec<TermId> =
+                        table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
+                    user_model.merge(&NGramGraph::from_ids(&ids, *n));
                 }
-                // WAND-mode overlap gate: a test document sharing no gram
-                // with the train union shares no graph edge either, so its
-                // comparison is exactly 0.0 and can be skipped. The
-                // document graph is still built so the shared space's
-                // interning sequence — and every later comparison's bits —
-                // matches the exhaustive path.
-                let gate: Option<Vec<pmr_text::vocab::TermId>> = match opts.retrieval {
-                    RetrievalMode::Exhaustive => None,
-                    RetrievalMode::Wand => {
-                        let mut ids: Vec<pmr_text::vocab::TermId> =
-                            train.iter().flat_map(|&id| table.doc(id).iter().copied()).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        Some(ids)
-                    }
-                };
+                // Vertices below this id are the train union's grams.
+                let train_vertices = vertices.len() as TermId;
                 let train_time = t0.elapsed();
                 let t1 = Instant::now();
+                let gated = opts.retrieval == RetrievalMode::Wand;
                 let mut pruned = 0u64;
                 let scores: Vec<f64> = test
                     .iter()
                     .map(|&id| {
-                        let matched = match &gate {
-                            None => true,
-                            Some(g) => table.doc(id).iter().any(|t| g.binary_search(t).is_ok()),
-                        };
-                        let g = space.graph_from_grams(&table.doc_terms(id), *n);
-                        if matched {
-                            similarity.compare(&user_model, &g)
-                        } else {
+                        // Every test document is mapped, gated or not, so
+                        // later documents get the same vertex ids in both
+                        // modes.
+                        let ids: Vec<TermId> =
+                            table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
+                        // WAND-mode overlap gate: a test document sharing
+                        // no gram with the train union shares no graph
+                        // edge either, so its comparison is exactly 0.0.
+                        if gated && ids.iter().all(|&v| v >= train_vertices) {
                             pruned += 1;
                             0.0
+                        } else {
+                            similarity.compare(&user_model, &NGramGraph::from_ids(&ids, *n))
                         }
                     })
                     .collect();
-                if gate.is_some() {
+                if gated {
                     pmr_obs::counter_add("retrieval.candidates", test.len() as u64 - pruned);
                     pmr_obs::counter_add("retrieval.pruned", pruned);
                 }
@@ -570,6 +566,45 @@ mod tests {
         let empty: Vec<usize> = Vec::new();
         assert!(parallel_map(&empty, |&x: &usize| x).is_empty());
         assert_eq!(parallel_map(&[7usize], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn local_ids_build_the_graphs_the_string_interner_builds() {
+        use pmr_graph::GraphSpace;
+        use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
+
+        let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 99));
+        let prepared = PreparedCorpus::new(corpus, crate::SplitConfig::default())
+            .expect("smoke corpus is well-formed");
+        let bits = |g: &NGramGraph| -> Vec<(TermId, TermId, u32)> {
+            g.edges().map(|(a, b, w)| (a, b, w.to_bits())).collect()
+        };
+        for (kind, n) in [(GramKind::Token, 1), (GramKind::Token, 3), (GramKind::Char, 4)] {
+            let table = prepared.gram_table(kind, n);
+            for user in prepared.corpus.evaluated_user_ids() {
+                let Some(user_split) = prepared.split.user(user) else { continue };
+                // The sweep's order: train documents, then test documents.
+                let docs = prepared
+                    .split
+                    .train_ids(&prepared.corpus, user, RepresentationSource::R)
+                    .into_iter()
+                    .chain(user_split.test_docs());
+                let mut space = GraphSpace::new();
+                let mut vertices = LocalIds::new();
+                let (mut by_ids, mut by_strings) = (NGramGraph::new(), NGramGraph::new());
+                for id in docs {
+                    let local: Vec<TermId> =
+                        table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
+                    let g = NGramGraph::from_ids(&local, n);
+                    let h = space.graph_from_grams(&table.doc_terms(id), n);
+                    assert_eq!(bits(&g), bits(&h), "{kind:?} n={n}, user {user:?}, tweet {id:?}");
+                    by_ids.merge(&g);
+                    by_strings.merge(&h);
+                }
+                assert_eq!(bits(&by_ids), bits(&by_strings), "{kind:?} n={n}, user {user:?}");
+                assert_eq!(vertices.len(), space.len());
+            }
+        }
     }
 
     #[test]

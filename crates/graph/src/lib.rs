@@ -18,6 +18,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod graph;
+#[cfg(test)]
+mod reference;
 pub mod similarity;
 
 pub use graph::{GraphSpace, NGramGraph};

@@ -42,39 +42,46 @@ impl GraphSimilarity {
     }
 }
 
-/// Iterate over the common edges, summing `min(w_a, w_b) / max(w_a, w_b)`.
-/// Iterates the smaller edge map and probes the larger.
-///
-/// The per-edge terms are collected and sorted by edge key before the f64
-/// accumulation: float addition is not associative, so summing in hash-map
-/// iteration order would let the process-random hash seed pick the final
-/// bits. Rankings survive that noise (which is why the batch sweep, which
-/// persists only rank-derived APs, never noticed), but `pmr-serve` logs raw
-/// scores and diffs them byte-for-byte across processes.
-fn value_sum(a: &NGramGraph, b: &NGramGraph) -> f64 {
+/// Visit the common edges in ascending key order as `(w_small, w_large)`.
+/// Walks the smaller edge list and probes each key into the larger one
+/// with a `partition_point` over the part not yet passed, which shrinks
+/// as the walk advances.
+fn for_each_common(a: &NGramGraph, b: &NGramGraph, mut f: impl FnMut(f32, f32)) {
     let (small, large) = if a.size() <= b.size() { (a, b) } else { (b, a) };
-    let mut terms: Vec<(u64, f64)> = Vec::new();
-    for (key, &ws) in small.raw() {
-        if let Some(&wl) = large.raw().get(key) {
-            let (ws, wl) = (ws.abs() as f64, wl.abs() as f64);
-            let hi = ws.max(wl);
-            if hi > 0.0 {
-                terms.push((*key, ws.min(wl) / hi));
-            }
+    let mut rest = large.raw();
+    for &(key, ws) in small.raw() {
+        rest = &rest[rest.partition_point(|&(k, _)| k < key)..];
+        match rest.first() {
+            Some(&(k, wl)) if k == key => f(ws, wl),
+            Some(_) => {}
+            None => break,
         }
     }
-    terms.sort_unstable_by_key(|&(key, _)| key);
+}
+
+/// Sum `min(w_a, w_b) / max(w_a, w_b)` over the common edges.
+///
+/// The f64 accumulation runs in ascending edge-key order: float addition
+/// is not associative, so the order is part of the result's bits, and
+/// `pmr-serve` logs raw scores and diffs them byte-for-byte across
+/// processes.
+fn value_sum(a: &NGramGraph, b: &NGramGraph) -> f64 {
     let mut sum = 0.0f64;
-    for &(_, term) in &terms {
-        sum += term;
-    }
+    for_each_common(a, b, |ws, wl| {
+        let (ws, wl) = (ws.abs() as f64, wl.abs() as f64);
+        let hi = ws.max(wl);
+        if hi > 0.0 {
+            sum += ws.min(wl) / hi;
+        }
+    });
     sum
 }
 
 /// Number of edges shared by the two graphs.
 fn common_edges(a: &NGramGraph, b: &NGramGraph) -> usize {
-    let (small, large) = if a.size() <= b.size() { (a, b) } else { (b, a) };
-    small.raw().keys().filter(|k| large.raw().contains_key(k)).count()
+    let mut count = 0;
+    for_each_common(a, b, |_, _| count += 1);
+    count
 }
 
 /// Containment similarity.

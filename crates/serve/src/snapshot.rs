@@ -147,6 +147,7 @@ mod tests {
     use super::*;
     use crate::config::ServeModel;
     use pmr_bag::{BagSimilarity, SparseVector, WeightingScheme};
+    use pmr_graph::GraphSimilarity;
 
     fn sample() -> EngineSnapshot {
         let mut profile = OnlineProfile::new(0.9);
@@ -186,6 +187,28 @@ mod tests {
         assert_eq!(back.header, snap.header);
         assert_eq!(back.users.len(), 1);
         assert_eq!(back.users[0].window, snap.users[0].window);
+    }
+
+    #[test]
+    fn graph_snapshot_with_a_duplicate_edge_key_is_rejected() {
+        let mut model = OnlineGraphModel::new(GraphSimilarity::Value, 1);
+        model.observe(&["a", "b", "c"]);
+        let mut snap = sample();
+        snap.header.config.model =
+            ServeModel::Graph { similarity: GraphSimilarity::Value, char_grams: false, n: 1 };
+        snap.users[0].model = UserModelSnapshot::Graph(model);
+        let text = snap.to_jsonl().expect("serializes");
+        assert!(EngineSnapshot::from_jsonl(&text).is_ok());
+        // Edges a-b and b-c: keys 1 and 2^32 + 2.
+        let edges = r#""edges":{"1":1,"4294967298":1}"#;
+        assert!(text.contains(edges), "unexpected graph encoding: {text}");
+        let duplicated = text.replacen(edges, r#""edges":{"1":1,"4294967298":1,"1":2}"#, 1);
+        match EngineSnapshot::from_jsonl(&duplicated) {
+            Err(PmrError::Serialize { detail }) => {
+                assert!(detail.contains("duplicate edge key 1"), "{detail}")
+            }
+            other => panic!("expected a Serialize error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -103,6 +103,59 @@ impl Vocabulary {
     }
 }
 
+/// Dense local ids for the ids of a shared [`Vocabulary`], assigned in
+/// first-seen order. Fed the shared ids of a sequence of documents, it
+/// assigns exactly the ids a fresh `Vocabulary` interning the same strings
+/// would, since the shared table gives equal strings equal ids. The map is
+/// a flat array indexed by shared id (shared vocabularies are dense), so a
+/// lookup is one index and nothing is hashed.
+#[derive(Debug, Clone, Default)]
+pub struct LocalIds {
+    /// Shared id → local id; [`LocalIds::UNSEEN`] for ids not interned.
+    local: Vec<TermId>,
+    /// Number of local ids assigned.
+    len: TermId,
+}
+
+impl LocalIds {
+    const UNSEEN: TermId = TermId::MAX;
+
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The local id of `shared`, assigning the next one on first sight.
+    #[inline]
+    pub fn intern(&mut self, shared: TermId) -> TermId {
+        let g = shared as usize;
+        if g >= self.local.len() {
+            self.local.resize(g + 1, Self::UNSEEN);
+        }
+        if self.local[g] == Self::UNSEEN {
+            self.local[g] = self.len;
+            self.len += 1;
+        }
+        self.local[g]
+    }
+
+    /// The local id of `shared`, if it has been interned.
+    #[inline]
+    pub fn get(&self, shared: TermId) -> Option<TermId> {
+        self.local.get(shared as usize).copied().filter(|&id| id != Self::UNSEEN)
+    }
+
+    /// Number of local ids assigned.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether no id has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// The corpus-level stop-word filter of the paper: the `k` most frequent
 /// tokens across all training tweets (k = 100 in the paper).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
