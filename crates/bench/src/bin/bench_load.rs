@@ -267,13 +267,7 @@ fn main() {
     let mut capacity = Vec::new();
     for (scheduler, leg_workers) in [(Scheduler::Threaded, shards), (Scheduler::WorkSteal, workers)]
     {
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            scheduler,
-            ..RuntimeOptions::default()
-        };
+        let runtime = RuntimeOptions { shards, workers, queue_capacity: queue, scheduler };
         let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
         for _ in 0..3 {
             let (elapsed, metrics, recs) = drive(config, runtime, &ops, None, k);
@@ -316,7 +310,6 @@ fn main() {
             workers,
             queue_capacity: queue,
             scheduler: Scheduler::WorkSteal,
-            ..RuntimeOptions::default()
         };
         let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule), k);
         check_log(scenario, &recs);
@@ -503,6 +496,10 @@ fn drive(
             Some(s) => {
                 let target = start + s[i];
                 loop {
+                    // Collect answers in every wait slice: a query's sojourn
+                    // ends when its answer is seen, so the driver must not
+                    // sleep through it until the next op is due.
+                    record_answers(&mut engine, &query_arrivals, &mut answered);
                     let now = Instant::now();
                     if now >= target {
                         break;
@@ -536,11 +533,7 @@ fn drive(
                 let id = engine.query(*user, k, *at);
                 debug_assert_eq!(id as usize, query_arrivals.len());
                 query_arrivals.push(arrival);
-                record_answers(&mut engine, &query_arrivals, &mut answered);
             }
-        }
-        if i % 256 == 0 {
-            record_answers(&mut engine, &query_arrivals, &mut answered);
         }
     }
     // Wait for the in-flight tail so every query gets a sojourn sample.
@@ -605,13 +598,8 @@ fn reshard_leg(
         (4, 4, Scheduler::Threaded),
     ] {
         let restored = EngineSnapshot::from_jsonl(&wire).expect("snapshot parses");
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: source.queue_capacity,
-            scheduler,
-            ..RuntimeOptions::default()
-        };
+        let runtime =
+            RuntimeOptions { shards, workers, queue_capacity: source.queue_capacity, scheduler };
         let mut tail_run =
             Replay::resume(prepared, &restored, ReplayOptions { runtime, ..options })
                 .expect("configs match");
@@ -635,5 +623,45 @@ fn reshard_leg(
         source_workers: source.workers,
         layouts,
         identical,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sparse_query_is_answered_without_waiting_for_the_next_op() {
+        let corpus = generate_corpus(&SimConfig::preset(Scale::Smoke.preset(), 42));
+        let prepared =
+            PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
+        let config = EngineConfig {
+            model: ServeModel::Bag {
+                weighting: pmr_bag::WeightingScheme::TFIDF,
+                similarity: pmr_bag::BagSimilarity::Cosine,
+                char_grams: false,
+                n: 1,
+                decay: 0.99,
+            },
+            window: 128,
+        };
+        let features = precompute_features(&prepared, config.model, 1);
+        let (ops, _) = build_ops(&prepared, &features, 25);
+        let first_query =
+            ops.iter().position(|op| matches!(op, Op::Query { .. })).expect("a query is issued");
+        let ops = &ops[..=first_query + 1];
+        // The op after the query arrives a whole second later.
+        let mut schedule = vec![Duration::ZERO; ops.len()];
+        schedule[ops.len() - 1] = Duration::from_secs(1);
+        let runtime = RuntimeOptions { shards: 4, workers: 1, ..RuntimeOptions::default() };
+        let (_, metrics, recs) = drive(config, runtime, ops, Some(&schedule), 10);
+        assert_eq!(recs.len(), 1, "the query is answered");
+        let sojourn = LatencySummary::from_histogram(metrics.histogram("load.query"));
+        assert_eq!(sojourn.count, 1);
+        assert!(
+            sojourn.max_us < 500_000,
+            "sojourn {}us waited for the next arrival",
+            sojourn.max_us
+        );
     }
 }

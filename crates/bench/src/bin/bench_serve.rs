@@ -182,13 +182,7 @@ fn main() {
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     let options = ReplayOptions {
         config: EngineConfig { model: serve_model, window },
-        runtime: RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            scheduler,
-            ..RuntimeOptions::default()
-        },
+        runtime: RuntimeOptions { shards, workers, queue_capacity: queue, scheduler },
         k,
         query_every,
         jobs,

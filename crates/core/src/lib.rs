@@ -33,7 +33,6 @@ pub mod eval;
 pub mod executor;
 pub mod experiment;
 pub mod features;
-pub mod incremental;
 pub mod online;
 pub mod prepare;
 pub mod ranking;
@@ -51,12 +50,11 @@ pub use error::{PmrError, PmrResult};
 pub use eval::{average_precision, map_deviation, mean_average_precision};
 pub use experiment::{ExperimentRunner, RunnerOptions, SweepResult};
 pub use features::{FeatureCache, GramKind, GramTable};
-pub use incremental::IncrementalModel;
 pub use online::{OnlineBagModel, OnlineGraphModel, OnlineProfile};
 pub use prepare::PreparedCorpus;
 pub use ranking::{rank_cmp, ThresholdHeap};
 pub use recommender::score_configuration;
-pub use retrieval::{Budget, ImpactIndex, RetrievalMode, WindowPostings};
+pub use retrieval::{Budget, ImpactIndex, RetrievalMode};
 pub use significance::{paired_randomization_test, wilcoxon_signed_rank, PairedComparison};
 pub use source::RepresentationSource;
 pub use split::{SplitConfig, TrainTestSplit, UserSplit};

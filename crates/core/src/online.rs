@@ -47,17 +47,10 @@ impl OnlineProfile {
         OnlineProfile { decay, accumulated: SparseVector::new(), documents: 0 }
     }
 
-    /// Apply one forgetting step without observing anything — the decay
-    /// half of [`Self::observe_unit`], exposed for the incremental-model
-    /// trait's `decay_step`.
-    pub fn decay_step(&mut self) {
-        self.accumulated.scale(self.decay);
-    }
-
     /// Fold one observed document's *unit-normalized* vector into the
     /// profile: one decay step, then the new document at full weight.
     pub fn observe_unit(&mut self, unit: &SparseVector) {
-        self.decay_step();
+        self.accumulated.scale(self.decay);
         self.accumulated.add_scaled(unit, 1.0);
         self.documents += 1;
     }
@@ -112,11 +105,6 @@ impl OnlineBagModel {
         self.similarity.compare(self.profile.vector(), &v)
     }
 
-    /// Apply one forgetting step without observing anything.
-    pub fn decay_step(&mut self) {
-        self.profile.decay_step();
-    }
-
     /// Number of observed documents.
     pub fn documents(&self) -> usize {
         self.profile.documents()
@@ -163,32 +151,6 @@ impl OnlineGraphModel {
     /// Number of observed documents.
     pub fn documents(&self) -> usize {
         self.user.merged_docs()
-    }
-
-    /// Sorted, deduplicated surface forms of the user graph's nodes — the
-    /// key set a serving window's postings are gated on. A candidate
-    /// sharing no node gram with the model cannot share an edge either, so
-    /// its score is exactly 0.0 and may be zero-filled without scoring.
-    pub fn node_terms(&self) -> Vec<String> {
-        let mut terms: Vec<&str> = Vec::new();
-        for (a, b, _) in self.user.edges() {
-            terms.push(self.space.gram(a));
-            terms.push(self.space.gram(b));
-        }
-        terms.sort_unstable();
-        terms.dedup();
-        terms.into_iter().map(str::to_owned).collect()
-    }
-
-    /// Intern a candidate's grams exactly as [`Self::score`] does, but skip
-    /// building and comparing its graph, returning the exact `0.0` the
-    /// comparison would produce. The serving engine calls this for
-    /// gated-out candidates so the space's interning sequence — and
-    /// therefore every later score's bits — stays identical to the
-    /// exhaustive path.
-    pub fn intern_only<S: AsRef<str>>(&mut self, grams: &[S]) -> f64 {
-        self.space.intern(grams);
-        0.0
     }
 }
 
@@ -252,34 +214,6 @@ mod tests {
             "quantum flux capacitor".split_whitespace().map(str::to_owned).collect();
         assert!(model.score(&seen) > model.score(&unseen));
         assert_eq!(model.score(&unseen), 0.0);
-    }
-
-    #[test]
-    fn gated_graph_scoring_matches_exhaustive_bit_for_bit() {
-        // The serving engine's retrieval gate: candidates sharing no node
-        // gram with the model take `intern_only` (score 0.0 without the
-        // comparison). That must (a) equal the exhaustive score exactly
-        // and (b) leave the interning sequence — and therefore every
-        // *later* score's bits — identical to the exhaustive path.
-        let mut exhaustive = OnlineGraphModel::new(GraphSimilarity::Value, 2);
-        for d in docs() {
-            exhaustive.observe(&d);
-        }
-        let mut gated = exhaustive.clone();
-        let nodes = gated.node_terms();
-        let unseen: Vec<String> =
-            "quantum flux capacitor".split_whitespace().map(str::to_owned).collect();
-        assert!(
-            !unseen.iter().any(|g| nodes.binary_search(g).is_ok()),
-            "probe must be outside the gate for this test to bite"
-        );
-        assert_eq!(gated.intern_only(&unseen).to_bits(), exhaustive.score(&unseen).to_bits());
-        let seen: Vec<String> = "cats purr softly".split_whitespace().map(str::to_owned).collect();
-        assert_eq!(
-            gated.score(&seen).to_bits(),
-            exhaustive.score(&seen).to_bits(),
-            "post-gate scores must not drift: interning order diverged"
-        );
     }
 
     #[test]

@@ -29,13 +29,6 @@
 //! model·document dot product accumulated in f64 over the document's
 //! entries in term order — a fixed association order, so results never
 //! depend on which posting list surfaced the candidate.
-//!
-//! [`WindowPostings`] is the incremental sibling for `pmr-serve`: per-shard
-//! postings over a user's candidate window, updated on ingest/evict, used
-//! as an exact overlap gate (score only matched candidates, zero-fill the
-//! rest) rather than a heuristic shortlist — serving output stays
-//! byte-identical to the exhaustive path for any window content, which is
-//! what lets the knob live in mechanical `RuntimeOptions`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -326,75 +319,6 @@ pub fn retrieve_and_rescore<K: Ord + Clone>(
     scores
 }
 
-/// Incremental postings over a serving window: key → sorted candidate ids.
-///
-/// The serving engine inserts a candidate's keys on ingest and removes
-/// them on window eviction; at query time [`WindowPostings::matched`]
-/// returns exactly the candidates sharing at least one key with the model,
-/// and the shard scores only those (zero-filling the rest). `BTreeMap`
-/// keeps every traversal in key order — nothing here depends on hash
-/// iteration order.
-#[derive(Debug, Clone, Default)]
-pub struct WindowPostings<K: Ord> {
-    lists: BTreeMap<K, Vec<u32>>,
-}
-
-impl<K: Ord + Clone> WindowPostings<K> {
-    /// An empty postings map.
-    pub fn new() -> WindowPostings<K> {
-        WindowPostings { lists: BTreeMap::new() }
-    }
-
-    /// Number of distinct keys currently posted.
-    pub fn keys(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Post `doc` under each of `keys` (duplicates are deduplicated).
-    pub fn insert<I: IntoIterator<Item = K>>(&mut self, doc: u32, keys: I) {
-        for key in keys {
-            let list = self.lists.entry(key).or_default();
-            if let Err(at) = list.binary_search(&doc) {
-                list.insert(at, doc);
-            }
-        }
-    }
-
-    /// Remove `doc` from each of `keys`' lists, dropping emptied lists.
-    pub fn remove<'a, I: IntoIterator<Item = &'a K>>(&mut self, doc: u32, keys: I)
-    where
-        K: 'a,
-    {
-        for key in keys {
-            if let Some(list) = self.lists.get_mut(key) {
-                if let Ok(at) = list.binary_search(&doc) {
-                    list.remove(at);
-                }
-                if list.is_empty() {
-                    self.lists.remove(key);
-                }
-            }
-        }
-    }
-
-    /// The ascending, deduplicated union of candidates posted under any of
-    /// `keys`.
-    pub fn matched<'a, I: IntoIterator<Item = &'a K>>(&self, keys: I) -> Vec<u32>
-    where
-        K: 'a,
-    {
-        let mut out: Vec<u32> = Vec::new();
-        for key in keys {
-            if let Some(list) = self.lists.get(key) {
-                out.extend_from_slice(list);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,28 +423,6 @@ mod tests {
         assert!("fts".parse::<RetrievalMode>().is_err());
         assert_eq!(RetrievalMode::Wand.to_string(), "wand");
         assert_eq!(RetrievalMode::default(), RetrievalMode::Exhaustive);
-    }
-
-    #[test]
-    fn window_postings_track_insert_and_evict() {
-        let mut postings: WindowPostings<u32> = WindowPostings::new();
-        postings.insert(10, [1, 2, 2]); // duplicate key deduplicated
-        postings.insert(11, [2, 3]);
-        assert_eq!(postings.matched([1, 2, 9].iter()), vec![10, 11]);
-        assert_eq!(postings.matched([3].iter()), vec![11]);
-        assert_eq!(postings.matched([9].iter()), Vec::<u32>::new());
-        postings.remove(10, [1, 2].iter());
-        assert_eq!(postings.matched([1, 2].iter()), vec![11]);
-        assert_eq!(postings.keys(), 2, "emptied lists are dropped");
-    }
-
-    #[test]
-    fn window_postings_string_keys_for_graph_features() {
-        let mut postings: WindowPostings<String> = WindowPostings::new();
-        postings.insert(5, ["cats".to_owned(), "purr".to_owned()]);
-        postings.insert(6, ["rust".to_owned()]);
-        let model_keys = ["cats".to_owned(), "code".to_owned()];
-        assert_eq!(postings.matched(model_keys.iter()), vec![5]);
     }
 
     #[test]

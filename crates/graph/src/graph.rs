@@ -46,11 +46,6 @@ impl GraphSpace {
         self.vocab.is_empty()
     }
 
-    /// The surface form of a vertex.
-    pub fn gram(&self, id: TermId) -> &str {
-        self.vocab.term(id)
-    }
-
     /// The vertex ids of an ordered n-gram sequence; grams not seen before
     /// get the next ids, in order of first appearance.
     pub fn intern<S: AsRef<str>>(&mut self, grams: &[S]) -> Vec<TermId> {

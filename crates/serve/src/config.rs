@@ -8,7 +8,6 @@
 //! snapshot taken on one shard layout restores onto any other.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
-use pmr_core::RetrievalMode;
 use pmr_graph::GraphSimilarity;
 use pmr_topics::OnlineTopicConfig;
 use serde::{Deserialize, Serialize};
@@ -17,10 +16,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// Mirrors the batch study's incremental-friendly families (§3.2): the
 /// decayed bag centroid, the n-gram graph with its running-average update
-/// operator, and — via [`pmr_topics::OnlineTopicModel`] — the topic family,
-/// serving new documents by deterministic fold-in Gibbs inference against a
-/// periodically retrained background model instead of refitting the full
-/// sampler per document.
+/// operator, and the topic family, which serves new documents by
+/// deterministic fold-in Gibbs inference against a periodically retrained
+/// [`pmr_topics::TopicBackground`] instead of refitting the full sampler
+/// per document.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ServeModel {
     /// Exponentially decayed centroid of unit document vectors
@@ -46,9 +45,9 @@ pub enum ServeModel {
         /// Gram order (also the graph's co-occurrence window).
         n: usize,
     },
-    /// Decayed per-user topic profile ([`pmr_topics::OnlineTopicModel`])
-    /// over fold-in θ distributions against a shared background LDA model,
-    /// scored with cosine. Always token unigrams — the topic vocabulary is
+    /// Decayed per-user topic profile ([`pmr_topics::TopicProfile`]) over
+    /// fold-in θ distributions against a shared background LDA model
+    /// ([`pmr_topics::TopicBackground`]), scored with cosine. Always token unigrams — the topic vocabulary is
     /// the corpus's token space.
     Topic {
         /// Number of latent topics.
@@ -190,14 +189,6 @@ pub struct RuntimeOptions {
     /// ingest thread blocks (after bumping the `serve.backpressure`
     /// counter) rather than buffering unboundedly.
     pub queue_capacity: usize,
-    /// Candidate retrieval at query time. `Wand` maintains an incremental
-    /// window index per user and scores only candidates sharing at least
-    /// one feature with the model; everything else provably scores exactly
-    /// `0.0` and is zero-filled without a kernel call. Mechanical rather
-    /// than semantic: both modes emit byte-identical recommendations (the
-    /// determinism suite pins this), so the knob lives here and stays out
-    /// of snapshots.
-    pub retrieval: RetrievalMode,
     /// How shards are scheduled onto OS threads. Mechanical: both
     /// schedulers must emit byte-identical recommendations.
     pub scheduler: Scheduler,
@@ -209,7 +200,6 @@ impl Default for RuntimeOptions {
             shards: 64,
             workers: 4,
             queue_capacity: 1024,
-            retrieval: RetrievalMode::Wand,
             scheduler: Scheduler::WorkSteal,
         }
     }
@@ -310,7 +300,7 @@ mod tests {
         assert_eq!(r.shards, 1);
         assert_eq!(r.workers, 1);
         assert_eq!(r.queue_capacity, 1);
-        assert_eq!(r.retrieval, RetrievalMode::Wand, "normalization keeps the retrieval mode");
+        assert_eq!(r.scheduler, Scheduler::WorkSteal, "normalization keeps the scheduler");
     }
 
     #[test]

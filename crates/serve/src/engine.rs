@@ -59,19 +59,14 @@ impl Engine {
     /// `resolve` maps a window entry's tweet id back to its features
     /// (recomputed from the corpus — snapshots store references, not
     /// vectors). Entries whose features cannot be resolved are dropped.
+    /// A snapshot [`EngineSnapshot::from_jsonl`] would reject is rejected
+    /// here too.
     pub fn resume(
         snapshot: &EngineSnapshot,
         runtime: RuntimeOptions,
         resolve: &dyn Fn(TweetId) -> Option<Arc<TweetFeatures>>,
     ) -> PmrResult<Engine> {
-        if snapshot.header.version != SNAPSHOT_VERSION {
-            return Err(PmrError::Serialize {
-                detail: format!(
-                    "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
-                    snapshot.header.version
-                ),
-            });
-        }
+        snapshot.check()?;
         let restored: Vec<(UserId, UserState)> = snapshot
             .users
             .iter()
@@ -454,13 +449,7 @@ mod tests {
         for scheduler in [Scheduler::Threaded, Scheduler::WorkSteal] {
             let mut engine = Engine::start(
                 bag_config(8),
-                RuntimeOptions {
-                    shards: 3,
-                    workers: 2,
-                    queue_capacity: 4,
-                    scheduler,
-                    ..RuntimeOptions::default()
-                },
+                RuntimeOptions { shards: 3, workers: 2, queue_capacity: 4, scheduler },
             );
             let user = UserId(1);
             let features = unit(0);
@@ -480,13 +469,7 @@ mod tests {
         for scheduler in [Scheduler::Threaded, Scheduler::WorkSteal] {
             let mut engine = Engine::start(
                 bag_config(4),
-                RuntimeOptions {
-                    shards: 2,
-                    workers: 2,
-                    queue_capacity: 4,
-                    scheduler,
-                    ..RuntimeOptions::default()
-                },
+                RuntimeOptions { shards: 2, workers: 2, queue_capacity: 4, scheduler },
             );
             engine.observe(UserId(0), &unit(0));
             engine.observe(UserId(1), &unit(0));

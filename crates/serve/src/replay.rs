@@ -171,10 +171,9 @@ impl<'a> Replay<'a> {
             position: 0,
             epoch: 0,
         };
-        // Topic bootstrap (epoch 0): train on all materialized originals —
-        // the oracle background the batch-equivalence pin compares against
-        // — and broadcast it before the first event, so every shard's FIFO
-        // starts with the same epoch boundary.
+        // Topic bootstrap (epoch 0): train on all materialized originals
+        // and broadcast the background before the first event, so every
+        // shard's FIFO starts with the same epoch boundary.
         if let Some(background) = replay.train_background(0) {
             replay.engine.set_background(background);
         }

@@ -210,7 +210,7 @@ impl ThreadedRuntime {
         let mut handles = Vec::with_capacity(partitions.len());
         for (shard, users) in partitions.into_iter().enumerate() {
             let (tx, rx) = channel::bounded(options.queue_capacity);
-            let state = ShardState::new(shard, config, options.retrieval, users);
+            let state = ShardState::new(shard, config, users);
             let reply = reply_tx.clone();
             senders.push(tx);
             handles.push(std::thread::spawn(move || threaded_worker(shard, state, rx, reply)));
@@ -336,7 +336,7 @@ impl WorkStealRuntime {
                     last_worker: usize::MAX,
                 }),
                 vacant: Condvar::new(),
-                state: Mutex::new(ShardState::new(shard, config, options.retrieval, users)),
+                state: Mutex::new(ShardState::new(shard, config, users)),
             })
             .collect();
         let shared = Arc::new(WsShared {

@@ -17,9 +17,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use pmr_bag::{ScoringKernel, SparseVector};
-use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile, RetrievalMode, WindowPostings};
+use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile};
 use pmr_sim::{Timestamp, TweetId, UserId};
-use pmr_text::vocab::TermId;
 use pmr_topics::{TopicBackground, TopicDoc, TopicProfile};
 use serde::{Deserialize, Serialize};
 
@@ -105,10 +104,10 @@ pub(crate) enum ShardReply {
     },
 }
 
-/// The per-user online model, matching the engine's [`ServeModel`]. The
-/// topic variant holds only the user's decayed θ accumulator — the shared
-/// background lives once per shard ([`ShardState::background`]), not per
-/// user.
+/// The per-user online model, matching the engine's [`ServeModel`]: the
+/// engine's one per-user model dispatch. The topic variant holds only the
+/// user's decayed θ accumulator — the shared background lives once per
+/// shard ([`FoldIns`]), not per user.
 #[derive(Debug)]
 enum UserModel {
     Bag(OnlineProfile),
@@ -124,71 +123,12 @@ struct WindowEntry {
     features: Arc<TweetFeatures>,
 }
 
-/// Incremental retrieval index over one user's candidate window, keyed by
-/// the model family's feature space: bag vectors post under their term
-/// ids, graph gram lists under their gram surface forms. Maintained on
-/// every window insert/evict so queries under [`RetrievalMode::Wand`] can
-/// zero-fill candidates that share no feature with the model — exactly the
-/// candidates every similarity maps to `0.0`.
-#[derive(Debug)]
-enum WindowIndex {
-    Bag(WindowPostings<TermId>),
-    Graph(WindowPostings<String>),
-    /// The topic family keeps no postings: a candidate sharing no token
-    /// with the profile still folds to a θ with non-zero cosine (θ is
-    /// smoothed by α, and an empty doc folds to uniform), so zero-filling
-    /// unmatched candidates would *change* scores. Topic queries always
-    /// score the window exhaustively.
-    Topic,
-}
-
-impl WindowIndex {
-    fn for_model(model: &UserModel) -> WindowIndex {
-        match model {
-            UserModel::Bag(_) => WindowIndex::Bag(WindowPostings::new()),
-            UserModel::Graph(_) => WindowIndex::Graph(WindowPostings::new()),
-            UserModel::Topic(_) => WindowIndex::Topic,
-        }
-    }
-
-    /// Post a window entry's features under its tweet id. A features/model
-    /// family mismatch posts nothing; the query path scores such entries
-    /// exhaustively, so skipping them here stays exact.
-    fn insert(&mut self, tweet: TweetId, features: &TweetFeatures) {
-        match (self, features) {
-            (WindowIndex::Bag(postings), TweetFeatures::Bag(v)) => {
-                postings.insert(tweet.0, v.entries().iter().map(|&(t, _)| t));
-            }
-            (WindowIndex::Graph(postings), TweetFeatures::Graph(grams)) => {
-                postings.insert(tweet.0, grams.iter().cloned());
-            }
-            _ => {}
-        }
-    }
-
-    /// Remove an evicted entry's postings.
-    fn remove(&mut self, tweet: TweetId, features: &TweetFeatures) {
-        match (self, features) {
-            (WindowIndex::Bag(postings), TweetFeatures::Bag(v)) => {
-                let keys: Vec<TermId> = v.entries().iter().map(|&(t, _)| t).collect();
-                postings.remove(tweet.0, keys.iter());
-            }
-            (WindowIndex::Graph(postings), TweetFeatures::Graph(grams)) => {
-                postings.remove(tweet.0, grams.iter());
-            }
-            _ => {}
-        }
-    }
-}
-
 /// One user's complete serving state: their model plus the bounded window
-/// of recent feed tweets still eligible for recommendation, mirrored by
-/// the incremental retrieval index over that window.
+/// of recent feed tweets still eligible for recommendation.
 #[derive(Debug)]
 pub(crate) struct UserState {
     model: UserModel,
     window: VecDeque<WindowEntry>,
-    index: WindowIndex,
 }
 
 impl UserState {
@@ -202,8 +142,7 @@ impl UserState {
                 UserModel::Topic(TopicProfile::new(decay, topics))
             }
         };
-        let index = WindowIndex::for_model(&model);
-        UserState { model, window: VecDeque::new(), index }
+        UserState { model, window: VecDeque::new() }
     }
 
     /// Rebuild a state from its snapshot, resolving window entries' tweet
@@ -217,7 +156,7 @@ impl UserState {
             UserModelSnapshot::Graph(graph) => UserModel::Graph(Box::new(graph.clone())),
             UserModelSnapshot::Topic(profile) => UserModel::Topic(profile.clone()),
         };
-        let window: VecDeque<WindowEntry> = snapshot
+        let window = snapshot
             .window
             .iter()
             .filter_map(|e| {
@@ -225,13 +164,7 @@ impl UserState {
                 Some(WindowEntry { tweet: TweetId(e.tweet), at: e.at, features })
             })
             .collect();
-        // The index is derived state: rebuild it from the restored window
-        // so a resumed engine answers queries exactly like the original.
-        let mut index = WindowIndex::for_model(&model);
-        for e in &window {
-            index.insert(e.tweet, &e.features);
-        }
-        UserState { model, window, index }
+        UserState { model, window }
     }
 
     fn snapshot(&self, user: UserId) -> UserSnapshot {
@@ -249,42 +182,78 @@ impl UserState {
     }
 }
 
-/// One logical shard's complete state: a partition of the user space plus
-/// the pure message-transition function ([`ShardState::apply`]). Owns no
-/// thread and no channel — the scheduling half ([`crate::runtime`]) decides
-/// which OS thread applies the shard's FIFO, and collects the replies
-/// `apply` pushes.
 /// Cleared-on-overflow capacity of the per-shard θ memo. Purely
 /// mechanical: a hit and a recompute yield identical bytes (fold-in is a
 /// pure function), so the cap — and the different hit patterns different
 /// layouts produce — can never change an output.
 const THETA_CACHE_CAP: usize = 8192;
 
+/// The topic family's shard-level state: the shared background model and
+/// the fold-in θs memoized under it. Kept apart from the user map so a
+/// query can fold in candidates while it holds a user's state.
+#[derive(Debug, Default)]
+struct FoldIns {
+    /// Swapped by [`ShardMsg::Epoch`]. `None` for the gram families (and
+    /// before the writer's initial epoch broadcast).
+    background: Option<Arc<TopicBackground>>,
+    /// Fold-in sweeps per document, for the `serve.topic.foldin_iters`
+    /// counter.
+    sweeps: usize,
+    /// Per-tweet θ under `background`, keyed by the document's seed key.
+    /// Cleared on every epoch swap (θ depends on φ) and on overflow.
+    thetas: BTreeMap<u64, Arc<Vec<f32>>>,
+}
+
+impl FoldIns {
+    fn set_background(&mut self, background: Arc<TopicBackground>) {
+        self.thetas.clear();
+        self.background = Some(background);
+    }
+
+    /// Fold-in θ for `doc` under the current background, memoized per
+    /// seed key. `None` when no background has been broadcast yet
+    /// (gram-family shards, or a topic doc arriving before the writer's
+    /// initial epoch — the latter is counted, not panicked on).
+    fn theta(&mut self, doc: &TopicDoc) -> Option<Arc<Vec<f32>>> {
+        let background = self.background.as_ref()?;
+        if let Some(theta) = self.thetas.get(&doc.key) {
+            return Some(Arc::clone(theta));
+        }
+        pmr_obs::counter_add("serve.topic.foldin_iters", self.sweeps as u64);
+        let theta = {
+            let _timer = pmr_obs::timer("topic.foldin");
+            Arc::new(background.fold_in(&doc.tokens, doc.key))
+        };
+        if self.thetas.len() >= THETA_CACHE_CAP {
+            self.thetas.clear();
+        }
+        self.thetas.insert(doc.key, Arc::clone(&theta));
+        Some(theta)
+    }
+}
+
+/// One logical shard's complete state: a partition of the user space plus
+/// the pure message-transition function ([`ShardState::apply`]). Owns no
+/// thread and no channel — the scheduling half ([`crate::runtime`]) decides
+/// which OS thread applies the shard's FIFO, and collects the replies
+/// `apply` pushes.
 pub(crate) struct ShardState {
     shard: usize,
     config: EngineConfig,
-    /// Mechanical retrieval mode (from [`crate::config::RuntimeOptions`]):
-    /// both settings produce byte-identical recommendations.
-    retrieval: RetrievalMode,
     users: BTreeMap<UserId, UserState>,
-    /// The topic family's shared background model, swapped by
-    /// [`ShardMsg::Epoch`]. `None` for the gram families (and before the
-    /// writer's initial epoch broadcast).
-    background: Option<Arc<TopicBackground>>,
-    /// Per-tweet fold-in memo under the current background, keyed by the
-    /// document's seed key. Cleared on every epoch swap (θ depends on φ)
-    /// and on overflow.
-    thetas: BTreeMap<u64, Arc<Vec<f32>>>,
+    fold_ins: FoldIns,
 }
 
 impl ShardState {
     pub(crate) fn new(
         shard: usize,
         config: EngineConfig,
-        retrieval: RetrievalMode,
         users: BTreeMap<UserId, UserState>,
     ) -> ShardState {
-        ShardState { shard, config, retrieval, users, background: None, thetas: BTreeMap::new() }
+        let sweeps =
+            config.model.online_topic().map_or(1, |(cfg, _, _)| cfg.foldin_iterations.max(1));
+        let fold_ins = FoldIns { sweeps, ..FoldIns::default() };
+        ShardState { shard, config, users, fold_ins }
     }
 
     /// Apply one message, pushing any replies. This is the *entire*
@@ -301,12 +270,9 @@ impl ShardState {
                 let rec = self.query(id, user, k, now);
                 replies.push(ShardReply::Recommendation(rec));
             }
-            ShardMsg::Epoch(background) => {
-                // θs are functions of φ: a new background invalidates the
-                // memo wholesale.
-                self.thetas.clear();
-                self.background = Some(background);
-            }
+            // θs are functions of φ: a new background invalidates the memo
+            // wholesale.
+            ShardMsg::Epoch(background) => self.fold_ins.set_background(background),
             ShardMsg::Snapshot => {
                 let users = self.users.iter().map(|(u, s)| s.snapshot(*u)).collect();
                 replies.push(ShardReply::SnapshotPart { users });
@@ -337,44 +303,17 @@ impl ShardState {
             pmr_obs::counter_add("serve.window_duplicates", 1);
             return;
         }
-        state.index.insert(tweet, &features);
         state.window.push_back(WindowEntry { tweet, at, features });
         while state.window.len() > cap {
-            if let Some(evicted) = state.window.pop_front() {
-                state.index.remove(evicted.tweet, &evicted.features);
-            }
+            state.window.pop_front();
             pmr_obs::counter_add("serve.window_evictions", 1);
         }
     }
 
-    /// Fold-in θ for `doc` under the current background, memoized per seed
-    /// key. `None` when no background has been broadcast yet (gram-family
-    /// shards, or a topic doc arriving before the writer's initial epoch —
-    /// the latter is counted, not panicked on).
-    fn theta(&mut self, doc: &TopicDoc) -> Option<Arc<Vec<f32>>> {
-        let background = self.background.as_ref()?;
-        if let Some(theta) = self.thetas.get(&doc.key) {
-            return Some(Arc::clone(theta));
-        }
-        let sweeps =
-            self.config.model.online_topic().map_or(1, |(cfg, _, _)| cfg.foldin_iterations.max(1));
-        pmr_obs::counter_add("serve.topic.foldin_iters", sweeps as u64);
-        let theta = {
-            let _timer = pmr_obs::timer("topic.foldin");
-            Arc::new(background.fold_in(&doc.tokens, doc.key))
-        };
-        if self.thetas.len() >= THETA_CACHE_CAP {
-            self.thetas.clear();
-        }
-        self.thetas.insert(doc.key, Arc::clone(&theta));
-        Some(theta)
-    }
-
     fn observe(&mut self, user: UserId, features: &Arc<TweetFeatures>) {
-        // Topic first: θ computation borrows the shard-level memo, so it
-        // must run before the user-state borrow.
+        // Topic first: a document that cannot fold in yet creates no user.
         if let TweetFeatures::Topic(doc) = features.as_ref() {
-            let Some(theta) = self.theta(doc) else {
+            let Some(theta) = self.fold_ins.theta(doc) else {
                 pmr_obs::counter_add("serve.model_feature_mismatch", 1);
                 return;
             };
@@ -395,138 +334,49 @@ impl ShardState {
         }
     }
 
+    /// Score every eligible candidate in `user`'s window (posted at or
+    /// before `now`) against their model and keep the top `k`.
     fn query(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
         let _timer = pmr_obs::timer("serve.query");
-        if matches!(self.config.model, ServeModel::Topic { .. }) {
-            return self.query_topic(id, user, k, now);
-        }
         let mut items: Vec<RecItem> = Vec::new();
-        let mut scored = 0u64;
-        let mut pruned = 0u64;
-        let similarity = match self.config.model {
-            ServeModel::Bag { similarity, .. } => Some(similarity),
-            ServeModel::Graph { .. } | ServeModel::Topic { .. } => None,
-        };
-        let retrieval = self.retrieval;
-        if let Some(state) = self.users.get_mut(&user) {
-            let UserState { model, window, index } = state;
-            match model {
-                UserModel::Bag(profile) => {
+        if let Some(UserState { model, window }) = self.users.get_mut(&user) {
+            let eligible = window.iter().filter(|e| e.at <= now);
+            match (model, self.config.model) {
+                (UserModel::Bag(profile), ServeModel::Bag { similarity, .. }) => {
                     // One kernel per query amortizes the model-side
                     // normalization over the whole window.
-                    if let Some(similarity) = similarity {
-                        let kernel = ScoringKernel::new(similarity, profile.vector());
-                        // Under Wand, candidates sharing no term with the
-                        // model are zero-filled without a kernel call:
-                        // every bag similarity maps empty overlap to
-                        // exactly 0.0, so the scores are byte-identical.
-                        let matched: Option<Vec<u32>> = match (retrieval, &*index) {
-                            (RetrievalMode::Wand, WindowIndex::Bag(postings)) => {
-                                let keys: Vec<TermId> =
-                                    profile.vector().entries().iter().map(|&(t, _)| t).collect();
-                                Some(postings.matched(keys.iter()))
-                            }
-                            _ => None,
-                        };
-                        for e in window.iter().filter(|e| e.at <= now) {
-                            if let TweetFeatures::Bag(v) = e.features.as_ref() {
-                                let gated_out = matched
-                                    .as_ref()
-                                    .is_some_and(|m| m.binary_search(&e.tweet.0).is_err());
-                                let score = if gated_out {
-                                    pruned += 1;
-                                    0.0
-                                } else {
-                                    scored += 1;
-                                    kernel.score(v)
-                                };
-                                items.push(RecItem { tweet: e.tweet.0, score });
-                            }
+                    let kernel = ScoringKernel::new(similarity, profile.vector());
+                    for e in eligible {
+                        if let TweetFeatures::Bag(v) = e.features.as_ref() {
+                            items.push(RecItem { tweet: e.tweet.0, score: kernel.score(v) });
                         }
                     }
                 }
-                UserModel::Graph(graph) => {
-                    // A shared edge requires a shared node gram, so gating
-                    // on gram overlap never drops a candidate that could
-                    // score non-zero. Gated-out candidates still intern
-                    // their grams (`intern_only`) so the graph space
-                    // assigns ids in the same order as the exhaustive
-                    // path — later scores depend on that order.
-                    let matched: Option<Vec<u32>> = match (retrieval, &*index) {
-                        (RetrievalMode::Wand, WindowIndex::Graph(postings)) => {
-                            let keys = graph.node_terms();
-                            Some(postings.matched(keys.iter()))
-                        }
-                        _ => None,
-                    };
-                    for e in window.iter().filter(|e| e.at <= now) {
+                (UserModel::Graph(graph), _) => {
+                    for e in eligible {
                         if let TweetFeatures::Graph(grams) = e.features.as_ref() {
-                            let gated_out = matched
-                                .as_ref()
-                                .is_some_and(|m| m.binary_search(&e.tweet.0).is_err());
-                            let score = if gated_out {
-                                pruned += 1;
-                                graph.intern_only(grams)
-                            } else {
-                                scored += 1;
-                                graph.score(grams)
-                            };
-                            items.push(RecItem { tweet: e.tweet.0, score });
+                            items.push(RecItem { tweet: e.tweet.0, score: graph.score(grams) });
                         }
                     }
                 }
-                // Unreachable: topic queries dispatched to `query_topic`.
-                UserModel::Topic(_) => {}
+                (UserModel::Topic(profile), _) => {
+                    for e in eligible {
+                        let TweetFeatures::Topic(doc) = e.features.as_ref() else {
+                            pmr_obs::counter_add("serve.model_feature_mismatch", 1);
+                            continue;
+                        };
+                        if let Some(theta) = self.fold_ins.theta(doc) {
+                            items.push(RecItem { tweet: e.tweet.0, score: profile.score(&theta) });
+                        }
+                    }
+                }
+                // Unreachable: a bag model exists only under a bag config.
+                (UserModel::Bag(_), _) => {}
             }
-        }
-        if retrieval == RetrievalMode::Wand {
-            pmr_obs::counter_add("retrieval.candidates", scored);
-            pmr_obs::counter_add("retrieval.pruned", pruned);
         }
         // Deterministic total order: the repo-wide top-k contract
         // ([`pmr_core::rank_cmp`]) — best score first, ties broken by
         // ascending tweet id, total even for NaN.
-        items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
-        items.truncate(k);
-        Recommendation { query: id, user: user.0, now, items }
-    }
-
-    /// The topic query path: always exhaustive over the eligible window
-    /// (see [`WindowIndex::Topic`] for why gating cannot apply), with θs
-    /// served from the shard memo. Split from [`ShardState::query`] because
-    /// θ computation borrows shard-level state the gram paths never touch.
-    fn query_topic(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
-        let eligible: Vec<(u32, Arc<TweetFeatures>)> = self
-            .users
-            .get(&user)
-            .map(|state| {
-                state
-                    .window
-                    .iter()
-                    .filter(|e| e.at <= now)
-                    .map(|e| (e.tweet.0, Arc::clone(&e.features)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut thetas: Vec<(u32, Arc<Vec<f32>>)> = Vec::with_capacity(eligible.len());
-        for (tweet, features) in &eligible {
-            match features.as_ref() {
-                TweetFeatures::Topic(doc) => {
-                    if let Some(theta) = self.theta(doc) {
-                        thetas.push((*tweet, theta));
-                    }
-                }
-                _ => pmr_obs::counter_add("serve.model_feature_mismatch", 1),
-            }
-        }
-        let mut items: Vec<RecItem> = Vec::new();
-        if let Some(state) = self.users.get(&user) {
-            if let UserModel::Topic(profile) = &state.model {
-                for (tweet, theta) in &thetas {
-                    items.push(RecItem { tweet: *tweet, score: profile.score(theta) });
-                }
-            }
-        }
         items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
         items.truncate(k);
         Recommendation { query: id, user: user.0, now, items }

@@ -19,7 +19,7 @@ use pmr_sim::Timestamp;
 use pmr_topics::TopicProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, ServeModel};
 
 /// Current snapshot format version; bumped on breaking layout changes.
 /// v2 added the `epoch` header field and the topic user-model variant.
@@ -80,6 +80,30 @@ pub struct UserSnapshot {
     pub window: Vec<WindowEntrySnapshot>,
 }
 
+impl SnapshotHeader {
+    /// Reject a header this build cannot resume from: another format
+    /// version, or a decay outside (0, 1], which the first new user's
+    /// profile would assert on inside a shard worker.
+    fn check(&self) -> PmrResult<()> {
+        if self.version != SNAPSHOT_VERSION {
+            return Err(PmrError::Serialize {
+                detail: format!(
+                    "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
+                    self.version
+                ),
+            });
+        }
+        if let ServeModel::Bag { decay, .. } | ServeModel::Topic { decay, .. } = self.config.model {
+            if !(decay > 0.0 && decay <= 1.0) {
+                return Err(PmrError::Serialize {
+                    detail: format!("snapshot decay {decay} is outside (0, 1]"),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The complete state of a paused engine.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
@@ -115,30 +139,60 @@ impl EngineSnapshot {
         })?;
         let header: SnapshotHeader = serde_json::from_str(header_line)
             .map_err(|e| PmrError::Serialize { detail: format!("snapshot header: {e}") })?;
-        if header.version != SNAPSHOT_VERSION {
-            return Err(PmrError::Serialize {
-                detail: format!(
-                    "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
-                    header.version
-                ),
-            });
-        }
+        // Fail on the header before parsing user lines another version may
+        // lay out differently.
+        header.check()?;
         let mut users = Vec::new();
         for line in lines {
             let user: UserSnapshot = serde_json::from_str(line)
                 .map_err(|e| PmrError::Serialize { detail: format!("snapshot user line: {e}") })?;
             users.push(user);
         }
-        if users.len() as u64 != header.users {
-            return Err(PmrError::Serialize {
-                detail: format!(
-                    "snapshot truncated: header promises {} users, found {}",
-                    header.users,
-                    users.len()
-                ),
-            });
+        let snapshot = EngineSnapshot { header, users };
+        snapshot.check()?;
+        Ok(snapshot)
+    }
+
+    /// Reject a snapshot the engine cannot resume from faithfully: a bad
+    /// header, a user count other than the header's, user ids out of
+    /// strictly ascending order (a repeated user would silently replace
+    /// the earlier line), or a user model of another family than the
+    /// header's config (that user would get empty answers forever).
+    pub(crate) fn check(&self) -> PmrResult<()> {
+        self.header.check()?;
+        let invalid = |detail: String| Err(PmrError::Serialize { detail });
+        if self.users.len() as u64 != self.header.users {
+            return invalid(format!(
+                "snapshot truncated: header promises {} users, found {}",
+                self.header.users,
+                self.users.len()
+            ));
         }
-        Ok(EngineSnapshot { header, users })
+        for pair in self.users.windows(2) {
+            if pair[0].user >= pair[1].user {
+                return invalid(format!(
+                    "snapshot user ids not strictly ascending: {} then {}",
+                    pair[0].user, pair[1].user
+                ));
+            }
+        }
+        let config = self.header.config.model;
+        for user in &self.users {
+            let same_family = matches!(
+                (&user.model, config),
+                (UserModelSnapshot::Bag(_), ServeModel::Bag { .. })
+                    | (UserModelSnapshot::Graph(_), ServeModel::Graph { .. })
+                    | (UserModelSnapshot::Topic(_), ServeModel::Topic { .. })
+            );
+            if !same_family {
+                return invalid(format!(
+                    "snapshot user {} holds a model of another family than the {} config",
+                    user.user,
+                    config.name()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -211,6 +265,42 @@ mod tests {
         }
     }
 
+    fn rejected(text: &str) -> String {
+        match EngineSnapshot::from_jsonl(text) {
+            Err(PmrError::Serialize { detail }) => detail,
+            other => panic!("expected a Serialize error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_user_line_is_rejected() {
+        let text = sample().to_jsonl().expect("serializes");
+        let user_line = text.lines().nth(1).expect("one user line");
+        let repeated = format!("{}{user_line}\n", text.replacen("\"users\":1", "\"users\":2", 1));
+        assert!(rejected(&repeated).contains("strictly ascending"));
+    }
+
+    #[test]
+    fn a_user_model_of_another_family_is_rejected() {
+        let mut snap = sample();
+        snap.users[0].model =
+            UserModelSnapshot::Graph(OnlineGraphModel::new(GraphSimilarity::Value, 1));
+        let text = snap.to_jsonl().expect("serializes");
+        assert!(rejected(&text).contains("another family"));
+    }
+
+    #[test]
+    fn a_header_decay_outside_the_unit_interval_is_rejected() {
+        for decay in [0.0, -0.5, 1.5] {
+            let mut snap = sample();
+            if let ServeModel::Bag { decay: d, .. } = &mut snap.header.config.model {
+                *d = decay;
+            }
+            let text = snap.to_jsonl().expect("serializes");
+            assert!(rejected(&text).contains("outside (0, 1]"), "decay {decay}");
+        }
+    }
+
     #[test]
     fn version_and_truncation_are_rejected() {
         let snap = sample();
@@ -223,5 +313,120 @@ mod tests {
             "missing user lines must be rejected"
         );
         assert!(EngineSnapshot::from_jsonl("").is_err(), "empty input must be rejected");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use std::sync::{Arc, OnceLock};
+
+    use pmr_graph::GraphSimilarity;
+    use pmr_sim::{TweetId, UserId};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
+    use crate::{Engine, TweetFeatures};
+
+    /// A graph-family snapshot taken from a running engine, with
+    /// multi-byte grams so edits land inside and between UTF-8 sequences.
+    fn graph_snapshot() -> &'static str {
+        static TEXT: OnceLock<String> = OnceLock::new();
+        TEXT.get_or_init(|| {
+            let config = EngineConfig {
+                model: ServeModel::Graph {
+                    similarity: GraphSimilarity::Value,
+                    char_grams: false,
+                    n: 2,
+                },
+                window: 4,
+            };
+            let runtime =
+                RuntimeOptions { shards: 2, queue_capacity: 8, ..RuntimeOptions::default() };
+            let mut engine = Engine::start(config, runtime);
+            let docs =
+                ["café au lait", "naïve \"quoted\" text", "emoji 😀 here", "back\\slash café"];
+            for (i, doc) in docs.iter().enumerate() {
+                let grams = doc.split_whitespace().map(str::to_owned).collect();
+                let features = Arc::new(TweetFeatures::Graph(grams));
+                for user in 0..3u32 {
+                    if (i as u32 + user).is_multiple_of(2) {
+                        engine.observe(UserId(user), &features);
+                    }
+                    engine.post_candidate(UserId(user), TweetId(i as u32), i as u64, &features);
+                }
+            }
+            let text =
+                engine.snapshot(4).expect("all shards alive").to_jsonl().expect("serializes");
+            engine.shutdown();
+            text
+        })
+    }
+
+    /// Characters an edit writes: JSON structure, escapes, digits and
+    /// multi-byte text.
+    const REPLACEMENTS: [char; 16] =
+        ['"', '\\', '{', '}', '[', ']', ':', ',', '0', '9', '-', 'u', 'd', 'é', '😀', '\n'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decode never panics on an edited snapshot, and a changed version
+        /// or a repeated user line (header count raised to match) is
+        /// always an error.
+        #[test]
+        fn edited_snapshots_decode_without_panicking(
+            kind in 0u8..4,
+            at in 0.0f64..1.0,
+            replacement in 0usize..REPLACEMENTS.len(),
+            version in 0u32..8,
+        ) {
+            let text = graph_snapshot();
+            prop_assert!(EngineSnapshot::from_jsonl(text).is_ok(), "the unedited snapshot decodes");
+            let boundaries: Vec<usize> =
+                text.char_indices().map(|(i, _)| i).chain([text.len()]).collect();
+            let boundary = boundaries[(at * boundaries.len() as f64) as usize];
+            match kind {
+                0 => {
+                    let _ = EngineSnapshot::from_jsonl(&text[..boundary]);
+                }
+                1 => {
+                    let mut edited = text.to_owned();
+                    if let Some(c) = edited[boundary..].chars().next() {
+                        edited.replace_range(
+                            boundary..boundary + c.len_utf8(),
+                            REPLACEMENTS[replacement].encode_utf8(&mut [0; 4]),
+                        );
+                    }
+                    let _ = EngineSnapshot::from_jsonl(&edited);
+                }
+                2 => {
+                    let version = if version == SNAPSHOT_VERSION { version + 1 } else { version };
+                    let edited = text.replacen(
+                        &format!("\"version\":{SNAPSHOT_VERSION}"),
+                        &format!("\"version\":{version}"),
+                        1,
+                    );
+                    prop_assert!(EngineSnapshot::from_jsonl(&edited).is_err());
+                }
+                _ => {
+                    let lines: Vec<&str> = text.lines().collect();
+                    let users = lines.len() - 1;
+                    let repeat = 1 + (at * users as f64) as usize;
+                    let mut edited = lines[0]
+                        .replacen(&format!("\"users\":{users}"), &format!("\"users\":{}", users + 1), 1);
+                    edited.push('\n');
+                    for (i, line) in lines.iter().enumerate().skip(1) {
+                        edited.push_str(line);
+                        edited.push('\n');
+                        if i == repeat {
+                            edited.push_str(line);
+                            edited.push('\n');
+                        }
+                    }
+                    prop_assert!(EngineSnapshot::from_jsonl(&edited).is_err());
+                }
+            }
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! The serving engine's determinism contract, enforced in-repo (CI's
 //! `serve-smoke` job repeats the same checks across *processes*): shard
-//! count, queue capacity, feature-precompute thread count, and the
-//! retrieval mode must never change a byte of recommendation or snapshot
-//! output. [`RuntimeOptions::default`] enables the incremental window
-//! index (`RetrievalMode::Wand`), so every layout-invariance test below
-//! exercises the indexed path unless it says otherwise.
+//! count, worker count, scheduler, queue capacity and feature-precompute
+//! thread count must never change a byte of recommendation or snapshot
+//! output, and `serving_outputs_match_pinned_digests` pins those bytes
+//! themselves against change in the query path.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
-use pmr_core::{PreparedCorpus, RetrievalMode, SplitConfig};
+use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
     rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, Scheduler,
@@ -232,36 +231,6 @@ fn resume_rejects_mismatched_configs() {
 }
 
 #[test]
-fn retrieval_mode_does_not_change_recommendations() {
-    // The window index is mechanical: pruned-with-zero-fill must replicate
-    // exhaustive scoring byte-for-byte, for every model family, across
-    // shard layouts. The topic family posts nothing to the window index
-    // (α-smoothed θ gives non-zero cosine even with zero shared tokens),
-    // so for it this pins that both modes fall back to exhaustive scoring.
-    for (seed, options) in [(49, bag_options()), (50, graph_options()), (56, topic_options())] {
-        let prepared = prepared(seed);
-        let mut options = options;
-        options.runtime.retrieval = RetrievalMode::Exhaustive;
-        let exhaustive = Replay::run(&prepared, options);
-        assert!(exhaustive.queries > 0, "the replay must actually issue queries");
-        for shards in [1, 4] {
-            options.runtime = RuntimeOptions {
-                shards,
-                queue_capacity: 16,
-                retrieval: RetrievalMode::Wand,
-                ..RuntimeOptions::default()
-            };
-            let indexed = Replay::run(&prepared, options);
-            assert_eq!(
-                rec_log(&indexed.recommendations).expect("log serializes"),
-                rec_log(&exhaustive.recommendations).expect("log serializes"),
-                "wand over {shards} shard(s) must replicate exhaustive scoring byte-for-byte"
-            );
-        }
-    }
-}
-
-#[test]
 fn scheduler_and_worker_count_do_not_change_recommendations() {
     // The work-stealing runtime multiplexes logical shards over arbitrary
     // worker counts; the thread-per-shard baseline pins one thread per
@@ -283,7 +252,6 @@ fn scheduler_and_worker_count_do_not_change_recommendations() {
                 workers,
                 queue_capacity: 8,
                 scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
             };
             let stolen = Replay::run(&prepared, options);
             assert_eq!(
@@ -307,4 +275,79 @@ fn tiny_queues_only_cost_backpressure_never_correctness() {
         rec_log(&roomy.recommendations).expect("log serializes"),
         "a one-slot queue may block the writer but must not reorder anything"
     );
+}
+
+/// FNV-1a (64-bit) over `bytes`: a stable digest for pinning output bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn serving_outputs_match_pinned_digests() {
+    // Every other test in this file compares two layouts of the same
+    // build, so a query-path change that moves the bytes on both sides
+    // passes them all. These constants pin the bytes themselves: the rec
+    // log of a full smoke replay and the snapshot JSONL taken at its
+    // midpoint, for every bag and graph similarity and the topic family.
+    // Change them only in a change that means to move serving outputs.
+    let bag = |similarity| {
+        let mut options = bag_options();
+        if let ServeModel::Bag { similarity: s, .. } = &mut options.config.model {
+            *s = similarity;
+        }
+        options
+    };
+    let graph = |similarity| {
+        let mut options = graph_options();
+        if let ServeModel::Graph { similarity: s, .. } = &mut options.config.model {
+            *s = similarity;
+        }
+        options
+    };
+    let cases = [
+        ("bag CS", bag(BagSimilarity::Cosine), 0xafec_fc48_2015_14f6, 0x7fee_de10_198c_60e0),
+        ("bag JS", bag(BagSimilarity::Jaccard), 0x0ebf_e88f_9745_f982, 0x2735_a0c7_bc02_e295),
+        (
+            "bag GJS",
+            bag(BagSimilarity::GeneralizedJaccard),
+            0x8c92_56f2_786b_fc31,
+            0x3531_b6a5_0fb8_06e3,
+        ),
+        (
+            "graph CoS",
+            graph(GraphSimilarity::Containment),
+            0xf11b_a533_67c9_a290,
+            0xbe41_9629_e0cb_2974,
+        ),
+        ("graph VS", graph(GraphSimilarity::Value), 0x2283_7d02_f5c5_2f04, 0xce16_5dc9_20a0_4a03),
+        (
+            "graph NS",
+            graph(GraphSimilarity::NormalizedValue),
+            0x10dc_3d9b_d76a_797e,
+            0xe30b_04c9_015b_b322,
+        ),
+        ("topic", topic_options(), 0x67d3_881b_8bc2_9345, 0xf2cc_b960_bded_198b),
+    ];
+    let prepared = prepared(42);
+    let mut mismatches = Vec::new();
+    for (name, options, log_digest, snapshot_digest) in cases {
+        let mut replay = Replay::new(&prepared, options);
+        replay.run_to(replay.stream_len() / 2);
+        let snapshot =
+            replay.snapshot().expect("all shards alive").to_jsonl().expect("snapshot serializes");
+        replay.run_to_end();
+        let outcome = replay.finish();
+        assert!(outcome.queries > 0, "{name}: the replay must actually issue queries");
+        let log = rec_log(&outcome.recommendations).expect("log serializes");
+        let got = (fnv1a(log.as_bytes()), fnv1a(snapshot.as_bytes()));
+        if got != (log_digest, snapshot_digest) {
+            mismatches.push(format!("{name}: rec log {:#018x}, snapshot {:#018x}", got.0, got.1));
+        }
+    }
+    assert!(mismatches.is_empty(), "serving outputs moved:\n{}", mismatches.join("\n"));
 }

@@ -26,13 +26,7 @@ fn prepared(seed: u64) -> PreparedCorpus {
 /// The source layout every snapshot in this suite is taken under:
 /// 4 logical shards on the work-stealing runtime.
 fn source_runtime() -> RuntimeOptions {
-    RuntimeOptions {
-        shards: 4,
-        workers: 2,
-        queue_capacity: 32,
-        scheduler: Scheduler::WorkSteal,
-        ..RuntimeOptions::default()
-    }
+    RuntimeOptions { shards: 4, workers: 2, queue_capacity: 32, scheduler: Scheduler::WorkSteal }
 }
 
 fn bag_options() -> ReplayOptions {
@@ -174,7 +168,6 @@ fn reshard_matrix_is_byte_identical_for_every_family() {
                     workers,
                     queue_capacity: 16,
                     scheduler: Scheduler::WorkSteal,
-                    ..RuntimeOptions::default()
                 };
                 restore_and_diff(
                     &prepared,
@@ -231,7 +224,6 @@ fn mid_storm_reshard_is_byte_identical_for_both_gram_families() {
                 workers,
                 queue_capacity: 16,
                 scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
             };
             restore_and_diff(
                 &prepared,
@@ -276,7 +268,6 @@ fn mid_refresh_topic_reshard_is_byte_identical() {
                 workers,
                 queue_capacity: 16,
                 scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
             };
             restore_and_diff(
                 &prepared,

@@ -55,6 +55,6 @@ pub use label::{LabelId, Labeler};
 pub use lda::{LdaConfig, LdaModel};
 pub use llda::{LldaConfig, LldaModel};
 pub use model::TopicModel;
-pub use online::{OnlineTopicConfig, OnlineTopicModel, TopicBackground, TopicDoc, TopicProfile};
+pub use online::{OnlineTopicConfig, TopicBackground, TopicDoc, TopicProfile};
 pub use plsa::{PlsaConfig, PlsaModel};
 pub use pooling::PoolingScheme;

@@ -27,8 +27,6 @@
 //! observed `θ`s, compared to candidate `θ`s by cosine — mirroring the
 //! batch pipeline's centroid-of-distributions user models (§3.2).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -343,16 +341,11 @@ impl TopicProfile {
         TopicProfile { decay, accumulated: vec![0.0; topics], documents: 0 }
     }
 
-    /// Apply one forgetting step without observing anything.
-    pub fn decay_step(&mut self) {
+    /// Decay, then fold a document's `θ` into the profile.
+    pub fn observe(&mut self, theta: &[f32]) {
         for x in &mut self.accumulated {
             *x *= self.decay;
         }
-    }
-
-    /// Decay, then fold a document's `θ` into the profile.
-    pub fn observe(&mut self, theta: &[f32]) {
-        self.decay_step();
         if self.accumulated.len() < theta.len() {
             self.accumulated.resize(theta.len(), 0.0);
         }
@@ -400,65 +393,6 @@ pub struct TopicDoc {
     pub key: u64,
     /// Token ids over the background's vocabulary.
     pub tokens: Vec<TermId>,
-}
-
-/// The online topic model: a user profile served against a shared (and
-/// periodically swapped) background.
-#[derive(Debug, Clone)]
-pub struct OnlineTopicModel {
-    background: Arc<TopicBackground>,
-    profile: TopicProfile,
-}
-
-impl OnlineTopicModel {
-    /// A fresh model over `background` with the given forgetting factor.
-    pub fn new(background: Arc<TopicBackground>, decay: f32) -> Self {
-        let topics = background.topics();
-        OnlineTopicModel { background, profile: TopicProfile::new(decay, topics) }
-    }
-
-    /// Rebuild from a snapshotted profile (the background is re-derived
-    /// from its epoch by the restoring engine, not serialized).
-    pub fn from_profile(profile: TopicProfile, background: Arc<TopicBackground>) -> Self {
-        OnlineTopicModel { background, profile }
-    }
-
-    /// Swap in a newly retrained background; the profile carries over.
-    pub fn set_background(&mut self, background: Arc<TopicBackground>) {
-        self.background = background;
-    }
-
-    /// The current background.
-    pub fn background(&self) -> &Arc<TopicBackground> {
-        &self.background
-    }
-
-    /// Fold a document into the user profile.
-    pub fn observe(&mut self, doc: &TopicDoc) {
-        let theta = self.background.fold_in(&doc.tokens, doc.key);
-        self.profile.observe(&theta);
-    }
-
-    /// Apply one forgetting step.
-    pub fn decay_step(&mut self) {
-        self.profile.decay_step();
-    }
-
-    /// Score a candidate document against the profile.
-    pub fn score(&self, doc: &TopicDoc) -> f64 {
-        let theta = self.background.fold_in(&doc.tokens, doc.key);
-        self.profile.score(&theta)
-    }
-
-    /// The user profile.
-    pub fn profile(&self) -> &TopicProfile {
-        &self.profile
-    }
-
-    /// Number of observed documents.
-    pub fn documents(&self) -> usize {
-        self.profile.documents()
-    }
 }
 
 #[cfg(test)]
@@ -576,15 +510,14 @@ mod tests {
     fn online_model_round_trips_profile_through_serde() {
         let docs = two_cluster_docs();
         let cfg = OnlineTopicConfig::paper(2, 20, 3);
-        let bg = Arc::new(TopicBackground::train(&cfg, &slices(&docs), 8, 0));
-        let mut model = OnlineTopicModel::new(Arc::clone(&bg), 0.9);
-        model.observe(&TopicDoc { key: 1, tokens: vec![0, 1, 2] });
-        model.observe(&TopicDoc { key: 2, tokens: vec![0, 3] });
-        let wire = serde_json::to_string(model.profile()).expect("profile serializes");
-        let profile: TopicProfile = serde_json::from_str(&wire).expect("profile parses");
-        let restored = OnlineTopicModel::from_profile(profile, bg);
-        let probe = TopicDoc { key: 9, tokens: vec![0, 1] };
-        assert_eq!(model.score(&probe), restored.score(&probe));
+        let bg = TopicBackground::train(&cfg, &slices(&docs), 8, 0);
+        let mut profile = TopicProfile::new(0.9, bg.topics());
+        profile.observe(&bg.fold_in(&[0, 1, 2], 1));
+        profile.observe(&bg.fold_in(&[0, 3], 2));
+        let wire = serde_json::to_string(&profile).expect("profile serializes");
+        let restored: TopicProfile = serde_json::from_str(&wire).expect("profile parses");
+        let probe = bg.fold_in(&[0, 1], 9);
+        assert_eq!(profile.score(&probe).to_bits(), restored.score(&probe).to_bits());
         assert_eq!(restored.documents(), 2);
     }
 }
