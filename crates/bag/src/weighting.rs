@@ -218,25 +218,41 @@ impl IndexedVectorizer {
                 ids.push(id);
             }
         }
-        ids.sort_unstable();
-        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let mut f = 0u32;
-            while i < ids.len() && ids[i] == id {
-                f += 1;
-                i += 1;
-            }
-            let w = match self.weighting {
-                WeightingScheme::BF => 1.0,
-                WeightingScheme::TF => f as f32 / n_d as f32,
-                WeightingScheme::TFIDF => (f as f32 / n_d as f32) * self.idf(id),
-            };
-            pairs.push((id, w));
-        }
-        SparseVector::from_pairs(pairs)
+        weigh(self.weighting, ids, n_d, |id| self.idf(id))
     }
+}
+
+/// Weigh one document given the fitted dimension ids of its grams.
+///
+/// `n_d` is the document's full gram count, grams outside the fitted
+/// space included. Occurrences are counted by sorting the ids and
+/// run-length encoding them; `idf` is consulted only under TF-IDF. This is
+/// the one counting routine behind every id-based bag vector, so vectors
+/// built from the same ids are bit-identical whoever interned them.
+pub fn weigh(
+    weighting: WeightingScheme,
+    mut ids: Vec<TermId>,
+    n_d: usize,
+    idf: impl Fn(TermId) -> f32,
+) -> SparseVector {
+    ids.sort_unstable();
+    let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
+    let mut i = 0;
+    while i < ids.len() {
+        let id = ids[i];
+        let mut f = 0u32;
+        while i < ids.len() && ids[i] == id {
+            f += 1;
+            i += 1;
+        }
+        let w = match weighting {
+            WeightingScheme::BF => 1.0,
+            WeightingScheme::TF => f as f32 / n_d as f32,
+            WeightingScheme::TFIDF => (f as f32 / n_d as f32) * idf(id),
+        };
+        pairs.push((id, w));
+    }
+    SparseVector::from_pairs(pairs)
 }
 
 #[cfg(test)]

@@ -11,12 +11,10 @@
 //! *entire* eligible candidate window with its online scores. It then
 //! re-ranks the exact same candidate sets with a batch oracle — the same
 //! incremental model type fed every original the user ever retweeted, with
-//! no decay (for topic: the epoch-0 background, whose equivalence to batch
-//! fold-in is pinned by a proptest in `pmr_core::incremental`) — and
-//! reports both MAPs plus their difference. Relevance for a query at time
-//! `now` is "the queried user retweets this original at a timestamp
-//! strictly after `now`", the same future-retweet criterion the offline
-//! harness uses.
+//! no decay (for topic: the epoch-0 background) — and reports both MAPs
+//! plus their difference. Relevance for a query at time `now` is "the
+//! queried user retweets this original at a timestamp strictly after
+//! `now`", the same future-retweet criterion the offline harness uses.
 //!
 //! The drift number isolates what serving costs in ranking quality:
 //! the online side sees only the causal prefix and forgets via decay,

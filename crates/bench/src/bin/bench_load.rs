@@ -34,7 +34,6 @@
 //! from determinism comparisons (see EXPERIMENTS.md).
 
 use std::process::exit;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -44,19 +43,10 @@ use serde::Serialize;
 use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
-    precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Replay, ReplayOptions,
-    RuntimeOptions, Scheduler, ServeModel, TweetFeatures,
+    corpus_ops, precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay,
+    ReplayOptions, RuntimeOptions, Scheduler, ServeModel,
 };
-use pmr_sim::{generate_corpus, SimConfig, Timestamp, TweetId, UserId};
-
-/// One engine operation, flattened from the replay's event semantics so
-/// arrivals can be paced individually (a single stream event fans out to
-/// many operations).
-enum Op {
-    Candidate { user: UserId, tweet: TweetId, at: Timestamp, features: Arc<TweetFeatures> },
-    Observe { user: UserId, features: Arc<TweetFeatures> },
-    Query { user: UserId, at: Timestamp },
-}
+use pmr_sim::{generate_corpus, SimConfig};
 
 #[derive(Debug, Serialize)]
 struct LatencySummary {
@@ -230,8 +220,10 @@ fn main() {
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
+    // The stream flattened into engine ops (one event fans out to many) so
+    // arrivals can be paced individually.
     let features = precompute_features(&prepared, serve_model, workers.max(1));
-    let (ops, stream_events) = build_ops(&prepared, &features, query_every);
+    let ops = corpus_ops(&prepared.corpus, &features, k, query_every);
     assert!(!ops.is_empty(), "the corpus must produce at least one operation");
 
     // The determinism reference: an uninterrupted Replay under an
@@ -270,7 +262,7 @@ fn main() {
         let runtime = RuntimeOptions { shards, workers, queue_capacity: queue, scheduler };
         let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
         for _ in 0..3 {
-            let (elapsed, metrics, recs) = drive(config, runtime, &ops, None, k);
+            let (elapsed, metrics, recs) = drive(config, runtime, &ops, None);
             check_log(scheduler.name(), &recs);
             if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
                 best = Some((elapsed, metrics));
@@ -311,7 +303,7 @@ fn main() {
             queue_capacity: queue,
             scheduler: Scheduler::WorkSteal,
         };
-        let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule), k);
+        let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule));
         check_log(scenario, &recs);
         let buckets = backpressure_buckets(&metrics);
         let leg = ScenarioLeg {
@@ -361,7 +353,7 @@ fn main() {
         k,
         query_every,
         window,
-        stream_events,
+        stream_events: prepared.corpus.len(),
         ops: ops.len(),
         queries: reference.queries,
         capacity,
@@ -379,46 +371,6 @@ fn main() {
     if !report.rec_log_identical || !report.reshard.identical {
         exit(1);
     }
-}
-
-/// Flatten the corpus's event stream into the exact operation sequence
-/// [`Replay::run_to`] would issue: originals fan out to the author's
-/// followers, retweets observe the original and fan it out to the
-/// reposter's audience, and every `query_every` events the next evaluated
-/// user (round-robin) is queried. Identical order → identical rec log.
-fn build_ops(
-    prepared: &PreparedCorpus,
-    features: &[Option<Arc<TweetFeatures>>],
-    query_every: usize,
-) -> (Vec<Op>, usize) {
-    let stream = prepared.corpus.event_stream();
-    let eval_users: Vec<UserId> = prepared.corpus.evaluated_user_ids().collect();
-    let mut ops = Vec::new();
-    let mut queries = 0usize;
-    let fan_out = |ops: &mut Vec<Op>, author: UserId, tweet: TweetId, at: Timestamp| {
-        if let Some(f) = features[tweet.index()].clone() {
-            for &follower in prepared.corpus.graph.followers(author) {
-                ops.push(Op::Candidate { user: follower, tweet, at, features: Arc::clone(&f) });
-            }
-        }
-    };
-    for (i, event) in stream.iter().enumerate() {
-        match event.retweet_of {
-            None => fan_out(&mut ops, event.author, event.tweet, event.at),
-            Some(original) => {
-                if let Some(f) = features[original.index()].clone() {
-                    ops.push(Op::Observe { user: event.author, features: f });
-                }
-                fan_out(&mut ops, event.author, original, event.at);
-            }
-        }
-        if query_every > 0 && (i + 1).is_multiple_of(query_every) && !eval_users.is_empty() {
-            let user = eval_users[queries % eval_users.len()];
-            ops.push(Op::Query { user, at: event.at });
-            queries += 1;
-        }
-    }
-    (ops, stream.len())
 }
 
 /// Deterministic, seeded arrival offsets for every operation. Offsets are
@@ -474,7 +426,6 @@ fn drive(
     runtime: RuntimeOptions,
     ops: &[Op],
     schedule: Option<&[Duration]>,
-    k: usize,
 ) -> (Duration, pmr_obs::MetricsSnapshot, Vec<pmr_serve::Recommendation>) {
     pmr_obs::install(pmr_obs::Recorder::monotonic());
     let mut engine = Engine::start(config, runtime);
@@ -514,26 +465,15 @@ fn drive(
             // degenerates to pure service/backpressure time.
             None => Instant::now(),
         };
-        match op {
-            Op::Candidate { user, tweet, at, features } => {
-                engine.post_candidate(*user, *tweet, *at, features);
-                pmr_obs::observe_duration(
-                    "load.ingest",
-                    Instant::now().saturating_duration_since(arrival),
-                );
-            }
-            Op::Observe { user, features } => {
-                engine.observe(*user, features);
-                pmr_obs::observe_duration(
-                    "load.ingest",
-                    Instant::now().saturating_duration_since(arrival),
-                );
-            }
-            Op::Query { user, at } => {
-                let id = engine.query(*user, k, *at);
+        match engine.apply(op) {
+            Some(id) => {
                 debug_assert_eq!(id as usize, query_arrivals.len());
                 query_arrivals.push(arrival);
             }
+            None => pmr_obs::observe_duration(
+                "load.ingest",
+                Instant::now().saturating_duration_since(arrival),
+            ),
         }
     }
     // Wait for the in-flight tail so every query gets a sojourn sample.
@@ -646,7 +586,7 @@ mod tests {
             window: 128,
         };
         let features = precompute_features(&prepared, config.model, 1);
-        let (ops, _) = build_ops(&prepared, &features, 25);
+        let ops = corpus_ops(&prepared.corpus, &features, 10, 25);
         let first_query =
             ops.iter().position(|op| matches!(op, Op::Query { .. })).expect("a query is issued");
         let ops = &ops[..=first_query + 1];
@@ -654,7 +594,7 @@ mod tests {
         let mut schedule = vec![Duration::ZERO; ops.len()];
         schedule[ops.len() - 1] = Duration::from_secs(1);
         let runtime = RuntimeOptions { shards: 4, workers: 1, ..RuntimeOptions::default() };
-        let (_, metrics, recs) = drive(config, runtime, ops, Some(&schedule), 10);
+        let (_, metrics, recs) = drive(config, runtime, ops, Some(&schedule));
         assert_eq!(recs.len(), 1, "the query is answered");
         let sojourn = LatencySummary::from_histogram(metrics.histogram("load.query"));
         assert_eq!(sojourn.count, 1);

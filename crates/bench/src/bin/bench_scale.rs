@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use pmr_serve::{ingest_stream, rec_log, EngineConfig, IngestOptions, RuntimeOptions, ServeModel};
+use pmr_serve::{ingest_stream, rec_log, EngineConfig, ReplayOptions, RuntimeOptions, ServeModel};
 use pmr_sim::{ScaleConfig, StreamGenerator};
 
 /// One `(tier, mode)` measurement, produced by a probe child process.
@@ -197,7 +197,7 @@ fn run_serve_leg(users: u64, seed: u64) -> ServeReport {
         pmr_obs::install(pmr_obs::Recorder::monotonic());
         let outcome = ingest_stream(
             &gen,
-            IngestOptions {
+            ReplayOptions {
                 config,
                 runtime: RuntimeOptions { shards, queue_capacity, ..RuntimeOptions::default() },
                 k: 10,

@@ -12,195 +12,74 @@
 //!   in chunk order — `run_tasks` returns results in input order, so the
 //!   engine always sees the exact global event stream regardless of
 //!   worker count;
-//! * features are computed inside the worker from each record's own text
+//! * grams are extracted inside the worker from each record's own text
 //!   (for a retweet, from the carried original text), so peak memory is
 //!   one window of rendered chunks rather than a corpus-wide feature
 //!   table;
-//! * the engine calls per event are the same as replay's: originals fan
-//!   out to the author's followers, retweets are observed by the reposter
-//!   and fan the *original* out to the reposter's audience, and every
-//!   `query_every` events the next evaluated user (round-robin) is asked
-//!   for their top-k.
+//! * each event then goes through the same `Feed` ([`crate::feed`]) as
+//!   replay's.
 //!
-//! **Model restrictions.** Graph models and TF/BF bag models are
-//! streamable. A TF/BF bag vector depends only on the document itself plus
-//! a *dimension id space*, and the id space can be grown incrementally:
-//! [`StreamBagVectorizer`] interns unknown grams in first-seen stream
+//! **Model restrictions.** Char-gram graph models and char-gram TF/BF bag
+//! models are streamable, and their features are replay's exactly. Char
+//! grams are lower-cased raw text in both paths. A TF/BF bag vector
+//! depends only on the document plus a *dimension id space*, and that
+//! space grows incrementally: grams are interned in first-seen stream
 //! order over original tweets, which reproduces — prefix by prefix — the
-//! exact local ids [`pmr_bag::IndexedVectorizer::fit`] assigns over the
-//! materialized corpus (original tweet ids are allocated in stream order,
-//! so first-seen-in-stream *is* first-seen-in-id-order). Two families stay
-//! rejected with typed errors: **TF-IDF** needs corpus-wide document
-//! frequencies a single pass cannot know, and **topic** needs the
-//! materialized corpus to bootstrap its epoch-0 background model.
-//!
-//! **Featurization difference vs. replay.** Replay's token grams pass
-//! through the corpus-fitted stop-word filter
-//! ([`pmr_core::PreparedCorpus`]); a streaming consumer has no corpus to
-//! fit that filter on, so token grams here are built from the unfiltered
-//! token stream. Char grams (`char_grams: true`) are computed identically
-//! in both paths — lower-cased raw text — which is what the
-//! ingest-vs-replay equivalence tests (graph *and* bag) pin.
+//! local ids [`pmr_bag::IndexedVectorizer::fit`] assigns over the
+//! materialized corpus (original tweet ids are allocated in stream order),
+//! and the vector is weighed by the same [`pmr_bag::weighting::weigh`].
+//! Three families are rejected with typed errors: **token grams** pass
+//! through a stop-word filter replay fits on the whole corpus, **TF-IDF**
+//! needs corpus-wide document frequencies, and **topic** needs the
+//! materialized corpus to bootstrap its epoch-0 background model — none of
+//! which a single-pass stream can provide.
 
 use std::sync::Arc;
 
-use pmr_bag::{SparseVector, WeightingScheme};
+use pmr_bag::weighting::weigh;
+use pmr_bag::WeightingScheme;
 use pmr_core::executor::run_tasks;
 use pmr_core::{PmrError, PmrResult};
-use pmr_sim::scale::IngestRecord;
-use pmr_sim::{StreamGenerator, UserId};
+use pmr_sim::StreamGenerator;
+use pmr_text::char_ngrams;
 use pmr_text::vocab::{TermId, Vocabulary};
-use pmr_text::{char_ngrams, token_ngrams, Tokenizer};
 
-use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
+use crate::config::ServeModel;
 use crate::engine::Engine;
-use crate::shard::{Recommendation, TweetFeatures};
-
-/// Everything a streaming ingest run needs beyond the generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestOptions {
-    /// The engine's semantic configuration (graph models only).
-    pub config: EngineConfig,
-    /// Shard and queue sizing (must not affect output).
-    pub runtime: RuntimeOptions,
-    /// Top-k size of issued queries.
-    pub k: usize,
-    /// Issue one query every this many events (0 disables querying).
-    pub query_every: usize,
-    /// Worker threads rendering + featurizing chunks (must not affect
-    /// output).
-    pub jobs: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            config: EngineConfig {
-                model: ServeModel::Graph {
-                    similarity: pmr_graph::GraphSimilarity::Value,
-                    char_grams: true,
-                    n: 3,
-                },
-                window: 128,
-            },
-            runtime: RuntimeOptions::default(),
-            k: 10,
-            query_every: 25,
-            jobs: 1,
-        }
-    }
-}
-
-/// The result of a completed streaming ingest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestOutcome {
-    /// Every answered query, in query-id order.
-    pub recommendations: Vec<Recommendation>,
-    /// Stream events ingested.
-    pub events: u64,
-    /// Queries issued.
-    pub queries: u64,
-}
-
-/// Gram surface forms of one tweet text under a serving model's alphabet.
-fn extract_grams(model: ServeModel, text: &str) -> Vec<String> {
-    if model.char_grams() {
-        char_ngrams(&text.to_lowercase(), model.n())
-    } else {
-        let tokens: Vec<String> =
-            Tokenizer::default().tokenize(text).into_iter().map(|t| t.text).collect();
-        token_ngrams(&tokens, model.n())
-    }
-}
-
-/// Single-pass TF/BF bag vectorizer over an incremental vocabulary.
-///
-/// Dimensions are interned in first-seen stream order over *original*
-/// tweets — the same first-seen order [`pmr_bag::IndexedVectorizer::fit`]
-/// walks over the materialized corpus, because original tweet ids are
-/// allocated in stream order. Counting mirrors `IndexedVectorizer`'s
-/// sort-and-run-length transform exactly, so every emitted vector is
-/// bit-identical to the replay path's (the equivalence test pins this).
-/// Retweets transform *without* growing the vocabulary: their grams come
-/// from the carried origin text, whose original has already been interned.
-struct StreamBagVectorizer {
-    weighting: WeightingScheme,
-    vocab: Vocabulary,
-}
-
-impl StreamBagVectorizer {
-    fn new(weighting: WeightingScheme) -> Self {
-        StreamBagVectorizer { weighting, vocab: Vocabulary::new() }
-    }
-
-    /// Intern an original document's grams (unknown grams are appended in
-    /// first-seen order), then transform it.
-    fn observe_original(&mut self, grams: &[String]) -> SparseVector {
-        let ids: Vec<TermId> = grams.iter().map(|g| self.vocab.intern(g)).collect();
-        self.weigh(ids, grams.len())
-    }
-
-    /// Transform without growing the vocabulary; grams outside it are
-    /// dropped, exactly as a fitted vectorizer drops unseen grams.
-    fn transform(&self, grams: &[String]) -> SparseVector {
-        let ids: Vec<TermId> = grams.iter().filter_map(|g| self.vocab.get(g)).collect();
-        self.weigh(ids, grams.len())
-    }
-
-    /// The sort + run-length counting of `IndexedVectorizer::transform`,
-    /// kept structurally identical so the f32 weights match bitwise.
-    fn weigh(&self, mut ids: Vec<TermId>, n_d: usize) -> SparseVector {
-        if n_d == 0 {
-            return SparseVector::new();
-        }
-        ids.sort_unstable();
-        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let mut f = 0u32;
-            while i < ids.len() && ids[i] == id {
-                f += 1;
-                i += 1;
-            }
-            let w = match self.weighting {
-                WeightingScheme::BF => 1.0,
-                WeightingScheme::TF => f as f32 / n_d as f32,
-                // Rejected before ingest starts; unreachable.
-                WeightingScheme::TFIDF => 0.0,
-            };
-            pairs.push((id, w));
-        }
-        SparseVector::from_pairs(pairs)
-    }
-}
+use crate::feed::Feed;
+use crate::replay::{ReplayOptions, ReplayOutcome};
+use crate::shard::TweetFeatures;
 
 /// Drive `gen`'s full event stream through a fresh engine and collect the
 /// recommendations. Output is a pure function of the generator and
-/// [`EngineConfig`]; `jobs`, `shards` and `queue_capacity` are mechanical.
-pub fn ingest_stream(gen: &StreamGenerator, options: IngestOptions) -> PmrResult<IngestOutcome> {
+/// [`crate::EngineConfig`]; `jobs`, `shards` and `queue_capacity` are
+/// mechanical.
+pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult<ReplayOutcome> {
     let model = options.config.model;
-    if matches!(model, ServeModel::Bag { weighting: WeightingScheme::TFIDF, .. }) {
-        return Err(PmrError::invariant(
-            "streaming ingest cannot serve TF-IDF bag models: inverse document frequencies \
-             need the full corpus, which a single-pass stream cannot provide",
-        ));
-    }
-    if matches!(model, ServeModel::Topic { .. }) {
-        return Err(PmrError::invariant(
-            "streaming ingest cannot serve topic models: the epoch-0 background model is \
-             trained on the materialized corpus, which a single-pass stream cannot provide",
-        ));
-    }
-    let mut bag = match model {
-        ServeModel::Bag { weighting, .. } => Some(StreamBagVectorizer::new(weighting)),
+    let unstreamable = match model {
+        ServeModel::Bag { weighting: WeightingScheme::TFIDF, .. } => {
+            Some("TF-IDF bag models: inverse document frequencies need the full corpus")
+        }
+        ServeModel::Topic { .. } => {
+            Some("topic models: the epoch-0 background model is trained on the materialized corpus")
+        }
+        _ if !model.char_grams() => Some(
+            "token-gram models: replay filters token grams through stop words fitted on the \
+             full corpus",
+        ),
         _ => None,
     };
+    if let Some(why) = unstreamable {
+        return Err(PmrError::invariant(format!(
+            "streaming ingest cannot serve {why}, which a single-pass stream cannot provide"
+        )));
+    }
     let followers = gen.build_followers();
-    let eval_users: Vec<UserId> = gen.evaluated_user_ids().collect();
-    let jobs = options.jobs.max(1);
+    let mut feed = Feed::new(gen.evaluated_user_ids().collect(), options.k, options.query_every);
     let mut engine = Engine::start(options.config, options.runtime);
-    let mut position = 0usize;
+    // Bag dimensions, interned in first-seen order over originals.
+    let mut dims = Vocabulary::new();
+    let jobs = options.jobs.max(1);
 
     let num_chunks = gen.num_chunks();
     let mut window_start = 0usize;
@@ -209,73 +88,48 @@ pub fn ingest_stream(gen: &StreamGenerator, options: IngestOptions) -> PmrResult
         window_start += window.len();
         // Render + gram-extract this window in parallel; results come back
         // in chunk order, so consumption below is the global stream order.
-        // Bag vectorization happens in the sequential loop below, not
-        // here: the incremental vocabulary's first-seen id assignment is
-        // order-dependent, so it must only ever see the global stream.
-        let rendered: Vec<Vec<(IngestRecord, Vec<String>)>> =
-            run_tasks(window, jobs, |_, chunk| {
-                gen.render_chunk(chunk)
-                    .into_iter()
-                    .map(|rec| {
-                        let text = rec.origin_text.as_deref().unwrap_or(&rec.text);
-                        let grams = extract_grams(model, text);
-                        (rec, grams)
-                    })
-                    .collect()
-            });
-        for (rec, grams) in rendered.into_iter().flatten() {
-            let event = rec.event;
-            let features = Arc::new(match &mut bag {
-                Some(vectorizer) => {
-                    // A retweet's grams are its *original's* (carried
-                    // origin text), already interned when the original
-                    // streamed by — transform must not grow the space.
-                    let vector = match event.retweet_of {
-                        None => vectorizer.observe_original(&grams),
-                        Some(_) => vectorizer.transform(&grams),
+        // Bag dimensions are interned in the sequential loop below, not
+        // here: first-seen id assignment is order-dependent, so it must
+        // only ever see the global stream.
+        let rendered = run_tasks(window, jobs, |_, chunk| {
+            gen.render_chunk(chunk)
+                .into_iter()
+                .map(|rec| {
+                    let text = rec.origin_text.as_deref().unwrap_or(&rec.text);
+                    (rec.event, char_ngrams(&text.to_lowercase(), model.n()))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (event, grams) in rendered.into_iter().flatten() {
+            let features = Arc::new(match model {
+                ServeModel::Bag { weighting, .. } => {
+                    // A retweet's grams are its original's, interned when
+                    // the original streamed by, so they only look ids up;
+                    // grams outside the space are dropped, as a fitted
+                    // vectorizer drops unseen grams.
+                    let ids: Vec<TermId> = match event.retweet_of {
+                        None => grams.iter().map(|g| dims.intern(g)).collect(),
+                        Some(_) => grams.iter().filter_map(|g| dims.get(g)).collect(),
                     };
-                    TweetFeatures::Bag(vector.normalized())
+                    // TF-IDF was rejected above, so no idf is ever asked for.
+                    TweetFeatures::Bag(weigh(weighting, ids, grams.len(), |_| 0.0).normalized())
                 }
-                None => TweetFeatures::Graph(grams),
+                _ => TweetFeatures::Graph(grams),
             });
-            pmr_obs::counter_add("serve.events", 1);
-            match event.retweet_of {
-                None => {
-                    for &follower in &followers[event.author.index()] {
-                        engine.post_candidate(follower, event.tweet, event.at, &features);
-                    }
-                }
-                Some(original) => {
-                    // `features` is the original's (built from the carried
-                    // origin text); the repost surfaces the original to the
-                    // reposter's audience at the repost's time.
-                    engine.observe(event.author, &features);
-                    for &follower in &followers[event.author.index()] {
-                        engine.post_candidate(follower, original, event.at, &features);
-                    }
-                }
-            }
-            position += 1;
-            if options.query_every > 0
-                && position.is_multiple_of(options.query_every)
-                && !eval_users.is_empty()
-            {
-                let issued = engine.queries_issued() as usize;
-                let user = eval_users[issued % eval_users.len()];
-                engine.query(user, options.k, event.at);
-            }
+            feed.drive(&mut engine, &event, Some(&features), &followers[event.author.index()]);
         }
     }
 
+    let events = feed.events();
     let queries = engine.queries_issued();
-    let recommendations = engine.finish();
-    Ok(IngestOutcome { recommendations, events: position as u64, queries })
+    Ok(ReplayOutcome { recommendations: engine.finish(), events, queries })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{rec_log, Replay, ReplayOptions};
+    use crate::config::{EngineConfig, RuntimeOptions};
+    use crate::replay::{rec_log, Replay};
     use pmr_core::{PreparedCorpus, SplitConfig};
     use pmr_sim::ScaleConfig;
 
@@ -294,7 +148,7 @@ mod tests {
         StreamGenerator::plan(ScaleConfig::smoke(seed))
     }
 
-    fn run(gen: &StreamGenerator, options: IngestOptions) -> IngestOutcome {
+    fn run(gen: &StreamGenerator, options: ReplayOptions) -> ReplayOutcome {
         ingest_stream(gen, options).expect("streamable model ingest succeeds")
     }
 
@@ -314,12 +168,12 @@ mod tests {
     #[test]
     fn tfidf_and_topic_models_are_rejected() {
         let gen = smoke_gen(1);
-        let tfidf = IngestOptions {
+        let tfidf = ReplayOptions {
             config: bag_config(WeightingScheme::TFIDF),
-            ..IngestOptions::default()
+            ..ReplayOptions::default()
         };
         assert!(ingest_stream(&gen, tfidf).is_err(), "TF-IDF needs corpus document frequencies");
-        let topic = IngestOptions {
+        let topic = ReplayOptions {
             config: EngineConfig {
                 model: ServeModel::Topic {
                     topics: 4,
@@ -333,9 +187,22 @@ mod tests {
                 },
                 window: 64,
             },
-            ..IngestOptions::default()
+            ..ReplayOptions::default()
         };
         assert!(ingest_stream(&gen, topic).is_err(), "topic needs the materialized corpus");
+        let token_graph = EngineConfig {
+            model: ServeModel::Graph {
+                similarity: pmr_graph::GraphSimilarity::Value,
+                char_grams: false,
+                n: 1,
+            },
+            window: 64,
+        };
+        // The default replay model is a token-unigram TF bag.
+        for config in [ReplayOptions::default().config, token_graph] {
+            let options = ReplayOptions { config, ..ReplayOptions::default() };
+            assert!(ingest_stream(&gen, options).is_err(), "token grams need the stop filter");
+        }
     }
 
     #[test]
@@ -352,7 +219,7 @@ mod tests {
         let query_every = 25;
         let streamed = run(
             &gen,
-            IngestOptions { config, k, query_every, jobs: 2, ..IngestOptions::default() },
+            ReplayOptions { config, k, query_every, jobs: 2, ..ReplayOptions::default() },
         );
         let prepared = PreparedCorpus::new(gen.materialize(), SplitConfig::default())
             .expect("materialized corpus is well-formed");
@@ -372,14 +239,14 @@ mod tests {
     #[test]
     fn bag_shard_layout_never_changes_the_recommendation_log() {
         let gen = smoke_gen(9);
-        let base = IngestOptions {
+        let base = ReplayOptions {
             config: bag_config(WeightingScheme::BF),
             jobs: 2,
-            ..IngestOptions::default()
+            ..ReplayOptions::default()
         };
         let one = run(
             &gen,
-            IngestOptions {
+            ReplayOptions {
                 runtime: RuntimeOptions {
                     shards: 1,
                     queue_capacity: 64,
@@ -390,7 +257,7 @@ mod tests {
         );
         let four = run(
             &gen,
-            IngestOptions {
+            ReplayOptions {
                 runtime: RuntimeOptions {
                     shards: 4,
                     queue_capacity: 64,
@@ -406,9 +273,9 @@ mod tests {
     #[test]
     fn jobs_never_change_the_recommendation_log() {
         let gen = smoke_gen(5);
-        let base = IngestOptions { config: graph_config(), ..IngestOptions::default() };
-        let serial = run(&gen, IngestOptions { jobs: 1, ..base });
-        let parallel = run(&gen, IngestOptions { jobs: 4, ..base });
+        let base = ReplayOptions { config: graph_config(), ..ReplayOptions::default() };
+        let serial = run(&gen, ReplayOptions { jobs: 1, ..base });
+        let parallel = run(&gen, ReplayOptions { jobs: 4, ..base });
         assert!(serial.queries > 0);
         assert_eq!(
             rec_log(&serial.recommendations).unwrap(),
@@ -419,10 +286,10 @@ mod tests {
     #[test]
     fn shard_layout_never_changes_the_recommendation_log() {
         let gen = smoke_gen(9);
-        let base = IngestOptions { config: graph_config(), jobs: 2, ..IngestOptions::default() };
+        let base = ReplayOptions { config: graph_config(), jobs: 2, ..ReplayOptions::default() };
         let one = run(
             &gen,
-            IngestOptions {
+            ReplayOptions {
                 runtime: RuntimeOptions {
                     shards: 1,
                     queue_capacity: 64,
@@ -433,7 +300,7 @@ mod tests {
         );
         let four = run(
             &gen,
-            IngestOptions {
+            ReplayOptions {
                 runtime: RuntimeOptions {
                     shards: 4,
                     queue_capacity: 64,
@@ -459,7 +326,7 @@ mod tests {
         let query_every = 25;
         let streamed = run(
             &gen,
-            IngestOptions { config, k, query_every, jobs: 2, ..IngestOptions::default() },
+            ReplayOptions { config, k, query_every, jobs: 2, ..ReplayOptions::default() },
         );
         let prepared = PreparedCorpus::new(gen.materialize(), SplitConfig::default())
             .expect("materialized corpus is well-formed");
@@ -482,14 +349,14 @@ mod tests {
         // tiny queue must trip the backpressure (block-and-retry) path,
         // and blocking must not change a byte of output across layouts.
         let gen = smoke_gen(13);
-        let base = IngestOptions { config: graph_config(), ..IngestOptions::default() };
+        let base = ReplayOptions { config: graph_config(), ..ReplayOptions::default() };
         let logs: Vec<String> = [1usize, 2, 5]
             .into_iter()
             .map(|shards| {
                 let _ = pmr_obs::install(pmr_obs::Recorder::monotonic());
                 let outcome = run(
                     &gen,
-                    IngestOptions {
+                    ReplayOptions {
                         runtime: RuntimeOptions {
                             shards,
                             queue_capacity: 2,

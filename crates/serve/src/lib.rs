@@ -11,9 +11,9 @@
 //!
 //! ```text
 //!                      ┌──────────────────────────────┐
-//!   corpus stream ───▶ │ ingest (single writer)       │
-//!   (time-ordered)     │  · features once per tweet   │
-//!                      │  · fan out to followers      │
+//!   event stream ────▶ │ Feed (single writer)         │
+//!   (time-ordered)     │  · event → engine ops        │
+//!                      │  · round-robin queries       │
 //!                      └──────┬───────┬───────────────┘
 //!                   bounded   │       │   bounded
 //!                mailbox ▼    ▼       ▼   mailbox
@@ -30,6 +30,11 @@
 //!                                ▼ replies (re-sequenced by query id)
 //!                      recommendations / snapshots
 //! ```
+//!
+//! [`Replay`] over a materialized corpus, [`ingest_stream`] over a
+//! [`pmr_sim::StreamGenerator`], and op-paced load harnesses via
+//! [`corpus_ops`] all turn events into engine calls through one `Feed`;
+//! the [`feed`] module states the rules.
 //!
 //! ## The determinism contract
 //!
@@ -58,6 +63,7 @@
 
 pub mod config;
 pub mod engine;
+pub mod feed;
 pub mod ingest;
 pub mod replay;
 mod runtime;
@@ -66,7 +72,8 @@ pub mod snapshot;
 
 pub use config::{EngineConfig, RuntimeOptions, Scheduler, ServeModel};
 pub use engine::Engine;
-pub use ingest::{ingest_stream, IngestOptions, IngestOutcome};
+pub use feed::{corpus_ops, Op};
+pub use ingest::ingest_stream;
 pub use replay::{precompute_features, rec_log, Replay, ReplayOptions, ReplayOutcome};
 pub use shard::{RecItem, Recommendation, TweetFeatures};
 pub use snapshot::{

@@ -2,18 +2,9 @@
 //! corpus's event stream.
 //!
 //! The driver walks [`pmr_sim::Corpus::event_stream`] in its total order
-//! and translates each event into engine calls:
-//!
-//! * an **original** tweet is fanned out as a candidate to every follower
-//!   of its author;
-//! * a **retweet** does two things: the reposter's model *observes* the
-//!   original's features (a retweet is the interest signal the whole study
-//!   is built on), and the original is fanned out as a candidate to the
-//!   reposter's followers — how content propagates past the author's own
-//!   audience;
-//! * every `query_every` events, the next evaluated user (round-robin over
-//!   [`pmr_sim::Corpus::evaluated_user_ids`]) is asked for their top-k as
-//!   of the event's timestamp.
+//! and hands each event to a `Feed` ([`crate::feed`]), which owns the
+//! event → engine-call rules and the round-robin query schedule over
+//! [`pmr_sim::Corpus::evaluated_user_ids`].
 //!
 //! Features are computed **once per original tweet** before replay starts,
 //! in parallel over `jobs` workers through the corpus's shared
@@ -27,12 +18,13 @@ use std::sync::Arc;
 use pmr_bag::IndexedVectorizer;
 use pmr_core::executor::run_tasks;
 use pmr_core::{GramKind, PmrError, PmrResult, PreparedCorpus};
-use pmr_sim::{StreamEvent, TweetId, UserId};
+use pmr_sim::{StreamEvent, TweetId};
 use pmr_text::vocab::TermId;
 use pmr_topics::{TopicBackground, TopicDoc};
 
 use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
 use crate::engine::Engine;
+use crate::feed::Feed;
 use crate::shard::{Recommendation, TweetFeatures};
 use crate::snapshot::EngineSnapshot;
 
@@ -137,16 +129,15 @@ fn topic_vocab(prepared: &PreparedCorpus, model: ServeModel) -> usize {
     }
 }
 
-/// A replay in progress: the engine plus the event cursor, pausable at any
+/// A replay in progress: the engine plus its event feed, pausable at any
 /// event boundary via [`Replay::snapshot`].
 pub struct Replay<'a> {
     prepared: &'a PreparedCorpus,
     features: Vec<Option<Arc<TweetFeatures>>>,
     stream: Vec<StreamEvent>,
-    eval_users: Vec<UserId>,
+    feed: Feed,
     options: ReplayOptions,
     engine: Engine,
-    position: usize,
     /// The topic vocabulary size (0 for the gram families): the token
     /// unigram table's corpus-wide vocabulary, stable across epochs.
     topic_vocab: usize,
@@ -160,39 +151,34 @@ impl<'a> Replay<'a> {
     pub fn new(prepared: &'a PreparedCorpus, options: ReplayOptions) -> Replay<'a> {
         let features = precompute_features(prepared, options.config.model, options.jobs);
         let engine = Engine::start(options.config, options.runtime);
-        let mut replay = Replay {
-            topic_vocab: topic_vocab(prepared, options.config.model),
-            prepared,
-            features,
-            stream: prepared.corpus.event_stream(),
-            eval_users: prepared.corpus.evaluated_user_ids().collect(),
-            options,
-            engine,
-            position: 0,
-            epoch: 0,
-        };
-        // Topic bootstrap (epoch 0): train on all materialized originals
-        // and broadcast the background before the first event, so every
-        // shard's FIFO starts with the same epoch boundary.
-        if let Some(background) = replay.train_background(0) {
-            replay.engine.set_background(background);
-        }
-        replay
+        Replay::assemble(prepared, options, features, engine, (0, 0, 0))
     }
 
     /// Precompute features and resume an engine from `snapshot`, at the
     /// stream position the snapshot was taken at.
     ///
     /// `options.config` must equal the snapshot's config — the snapshot's
-    /// models only make sense in the feature space they were built in.
+    /// models only make sense in the feature space they were built in —
+    /// and the snapshot must lie within this corpus's stream.
     pub fn resume(
         prepared: &'a PreparedCorpus,
         snapshot: &EngineSnapshot,
         options: ReplayOptions,
     ) -> PmrResult<Replay<'a>> {
-        if options.config != snapshot.header.config {
+        let header = &snapshot.header;
+        if options.config != header.config {
             return Err(PmrError::Serialize {
                 detail: "replay options disagree with the snapshot's engine config".to_owned(),
+            });
+        }
+        // One event per tweet: the corpus length is the stream length.
+        if header.events > prepared.corpus.len() as u64 {
+            return Err(PmrError::Serialize {
+                detail: format!(
+                    "snapshot is positioned at event {} of a {}-event stream",
+                    header.events,
+                    prepared.corpus.len()
+                ),
             });
         }
         let features = precompute_features(prepared, options.config.model, options.jobs);
@@ -201,24 +187,38 @@ impl<'a> Replay<'a> {
                 |id: TweetId| features.get(id.index()).and_then(|f| f.as_ref().map(Arc::clone));
             Engine::resume(snapshot, options.runtime, &resolve)?
         };
+        let at = (header.events, header.queries, header.epoch);
+        Ok(Replay::assemble(prepared, options, features, engine, at))
+    }
+
+    /// Wire a replay positioned at `(events, queries, epoch)` and
+    /// broadcast that epoch's topic background before the next event: the
+    /// epoch-0 bootstrap for a fresh run, or — for a resumed one — the
+    /// snapshot's background, re-derived (it is a pure function of
+    /// corpus, config and epoch, so any shard layout gets the exact φ the
+    /// paused engine was serving).
+    fn assemble(
+        prepared: &'a PreparedCorpus,
+        options: ReplayOptions,
+        features: Vec<Option<Arc<TweetFeatures>>>,
+        engine: Engine,
+        (events, queries, epoch): (u64, u64, u64),
+    ) -> Replay<'a> {
+        let eval_users = prepared.corpus.evaluated_user_ids().collect();
         let mut replay = Replay {
             topic_vocab: topic_vocab(prepared, options.config.model),
             prepared,
             features,
             stream: prepared.corpus.event_stream(),
-            eval_users: prepared.corpus.evaluated_user_ids().collect(),
+            feed: Feed::new(eval_users, options.k, options.query_every).resume_at(events, queries),
             options,
             engine,
-            position: snapshot.header.events as usize,
-            epoch: snapshot.header.epoch,
+            epoch,
         };
-        // Re-derive the snapshot's background: it is a pure function of
-        // (corpus, config, epoch), so training it again — under any shard
-        // layout — reproduces the exact φ the paused engine was serving.
-        if let Some(background) = replay.train_background(snapshot.header.epoch) {
+        if let Some(background) = replay.train_background(epoch) {
             replay.engine.set_background(background);
         }
-        Ok(replay)
+        replay
     }
 
     /// Total number of stream events.
@@ -228,17 +228,7 @@ impl<'a> Replay<'a> {
 
     /// Events ingested so far.
     pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// Fan `tweet` (with its precomputed features) out to `author`'s
-    /// followers as a candidate.
-    fn fan_out(&mut self, author: UserId, tweet: TweetId, at: pmr_sim::Timestamp) {
-        if let Some(features) = self.features[tweet.index()].clone() {
-            for &follower in self.prepared.corpus.graph.followers(author) {
-                self.engine.post_candidate(follower, tweet, at, &features);
-            }
-        }
+        self.feed.events() as usize
     }
 
     /// Retrain the topic background for `epoch` — `None` for the gram
@@ -278,10 +268,11 @@ impl<'a> Replay<'a> {
         let Some((_, _, refresh)) = self.options.config.model.online_topic() else {
             return;
         };
-        if refresh == 0 || self.position == 0 || !(self.position as u64).is_multiple_of(refresh) {
+        let position = self.feed.events();
+        if refresh == 0 || position == 0 || !position.is_multiple_of(refresh) {
             return;
         }
-        let target_epoch = self.position as u64 / refresh;
+        let target_epoch = position / refresh;
         if target_epoch <= self.epoch {
             return;
         }
@@ -295,30 +286,12 @@ impl<'a> Replay<'a> {
     /// stream's end).
     pub fn run_to(&mut self, target: usize) {
         let target = target.min(self.stream.len());
-        while self.position < target {
+        while self.position() < target {
             self.maybe_refresh_background();
-            let event = self.stream[self.position];
-            pmr_obs::counter_add("serve.events", 1);
-            match event.retweet_of {
-                None => self.fan_out(event.author, event.tweet, event.at),
-                Some(original) => {
-                    if let Some(features) = self.features[original.index()].clone() {
-                        self.engine.observe(event.author, &features);
-                    }
-                    // The repost surfaces the *original* to the reposter's
-                    // audience at the repost's time.
-                    self.fan_out(event.author, original, event.at);
-                }
-            }
-            self.position += 1;
-            if self.options.query_every > 0
-                && self.position.is_multiple_of(self.options.query_every)
-                && !self.eval_users.is_empty()
-            {
-                let issued = self.engine.queries_issued() as usize;
-                let user = self.eval_users[issued % self.eval_users.len()];
-                self.engine.query(user, self.options.k, event.at);
-            }
+            let event = self.stream[self.position()];
+            let carried = self.features[event.retweet_of.unwrap_or(event.tweet).index()].as_ref();
+            let followers = self.prepared.corpus.graph.followers(event.author);
+            self.feed.drive(&mut self.engine, &event, carried, followers);
         }
     }
 
@@ -331,12 +304,12 @@ impl<'a> Replay<'a> {
     ///
     /// Errors if a shard worker died mid-stream (see [`Engine::snapshot`]).
     pub fn snapshot(&mut self) -> PmrResult<EngineSnapshot> {
-        self.engine.snapshot(self.position as u64)
+        self.engine.snapshot(self.feed.events())
     }
 
     /// Close the stream and collect every recommendation in query order.
     pub fn finish(self) -> ReplayOutcome {
-        let events = self.position as u64;
+        let events = self.feed.events();
         let queries = self.engine.queries_issued();
         let recommendations = self.engine.finish();
         ReplayOutcome { recommendations, events, queries }
@@ -354,7 +327,7 @@ impl std::fmt::Debug for Replay<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replay")
             .field("options", &self.options)
-            .field("position", &self.position)
+            .field("position", &self.feed.events())
             .field("stream_len", &self.stream.len())
             .finish()
     }

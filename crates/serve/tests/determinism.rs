@@ -231,6 +231,24 @@ fn resume_rejects_mismatched_configs() {
 }
 
 #[test]
+fn resume_rejects_a_snapshot_past_the_end_of_the_stream() {
+    let prepared = prepared(47);
+    let options = bag_options();
+    let mut replay = Replay::new(&prepared, options);
+    let stream_len = replay.stream_len();
+    replay.run_to(20);
+    let mut snapshot = replay.snapshot().expect("all shards alive");
+    let _ = replay.finish();
+    snapshot.header.events = stream_len as u64 + 5;
+    let restored = EngineSnapshot::from_jsonl(&snapshot.to_jsonl().expect("snapshot serializes"))
+        .expect("the header itself is well-formed");
+    assert!(
+        Replay::resume(&prepared, &restored, options).is_err(),
+        "a snapshot cannot be positioned past the stream it was taken from"
+    );
+}
+
+#[test]
 fn scheduler_and_worker_count_do_not_change_recommendations() {
     // The work-stealing runtime multiplexes logical shards over arbitrary
     // worker counts; the thread-per-shard baseline pins one thread per
