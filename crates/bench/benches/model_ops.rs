@@ -2,11 +2,13 @@
 //! per-operation costs behind the paper's Figure 7 time ladder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use pmr_bag::{BagSimilarity, BagVectorizer, WeightingScheme};
 use pmr_graph::{GraphSimilarity, GraphSpace, NGramGraph};
 use pmr_text::{char_ngrams, token_ngrams, Tokenizer};
-use pmr_topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, TopicCorpus};
+use pmr_topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, TopicCorpus, TopicModel};
 
 /// A deterministic pseudo-tweet corpus for the micro-benches.
 fn sample_texts(n: usize) -> Vec<String> {
@@ -100,21 +102,43 @@ fn bench_graph(c: &mut Criterion) {
     group.finish();
 }
 
+/// A topic-model training corpus sized like the smoke sweep's (whose
+/// topic corpora have 2.7–2.9k words): 300 documents of 16 tokens over a
+/// 3,000-word vocabulary in which every word occurs. At this size one
+/// word's counts under every topic span several cache lines, so the
+/// benches see the counts' memory layout.
+fn topic_corpus() -> TopicCorpus {
+    const WORDS: usize = 3_000;
+    let docs: Vec<Vec<String>> = (0..300)
+        .map(|i| (0..16).map(|j| format!("w{}", ((i * 16 + j) * 7_919) % WORDS)).collect())
+        .collect();
+    TopicCorpus::from_token_docs(&docs)
+}
+
 fn bench_topics(c: &mut Criterion) {
-    let texts = sample_texts(120);
-    let docs: Vec<Vec<String>> =
-        texts.iter().map(|t| t.split_whitespace().map(str::to_owned).collect()).collect();
-    let corpus = TopicCorpus::from_token_docs(&docs);
+    let corpus = topic_corpus();
     let mut group = c.benchmark_group("topic_training");
     group.sample_size(10);
-    group.bench_function("lda_k20_it20", |b| {
-        b.iter(|| LdaModel::train(&LdaConfig::paper(20, 20, 1), &corpus))
-    });
-    group.bench_function("btm_k20_it20", |b| {
-        let mut cfg = BtmConfig::paper(20, 20, 1);
-        cfg.window = 30;
-        b.iter(|| BtmModel::train(&cfg, &corpus))
-    });
+    for k in [50usize, 200] {
+        group.bench_with_input(BenchmarkId::new("lda_it10", k), &k, |b, &k| {
+            b.iter(|| LdaModel::train(&LdaConfig::paper(k, 10, 1), &corpus))
+        });
+        group.bench_with_input(BenchmarkId::new("btm_it10", k), &k, |b, &k| {
+            b.iter(|| BtmModel::train(&BtmConfig::paper(k, 10, 1), &corpus))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("topic_fold_in");
+    for k in [50usize, 200] {
+        let model = LdaModel::train(&LdaConfig::paper(k, 10, 1), &corpus);
+        group.bench_with_input(BenchmarkId::new("lda_infer_100_docs", k), &k, |b, _| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(3);
+                corpus.docs[..100].iter().map(|d| model.infer(d, &mut rng)[0]).sum::<f32>()
+            })
+        });
+    }
     group.finish();
 }
 

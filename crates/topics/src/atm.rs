@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::lda::{estimate_phi, fold_in};
-use crate::model::{normalize, sample_discrete, TopicModel};
+use crate::lda::{fold_in, WordCounts};
+use crate::model::{normalize, sample_discrete, TopicModel, WordTopic};
 
 /// ATM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,8 +64,8 @@ impl AtmConfig {
 /// A trained Author-Topic model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AtmModel {
-    /// `phi[k][w] = P(w | z=k)`.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` and topic `k`.
+    phi: WordTopic<f32>,
     /// `theta_author[a][k] = P(z=k | author a)` — the author profiles.
     theta_author: Vec<Vec<f32>>,
     alpha: f64,
@@ -84,8 +84,7 @@ impl AtmModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut n_ak = vec![vec![0u32; k]; num_authors];
         let mut n_a = vec![0u32; num_authors];
-        let mut n_kw = vec![vec![0u32; v]; k];
-        let mut n_k = vec![0u32; k];
+        let mut counts = WordCounts::new(v, k, cfg.beta);
         let mut z: Vec<Vec<usize>> = corpus
             .docs
             .iter()
@@ -96,38 +95,28 @@ impl AtmModel {
                         let t = rng.gen_range(0..k);
                         n_ak[a as usize][t] += 1;
                         n_a[a as usize] += 1;
-                        n_kw[t][w as usize] += 1;
-                        n_k[t] += 1;
+                        counts.add(w, t);
                         t
                     })
                     .collect()
             })
             .collect();
-        let vb = v as f64 * cfg.beta;
         let mut weights = vec![0.0f64; k];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.atm");
-            for (d, doc) in corpus.docs.iter().enumerate() {
-                let a = authors[d] as usize;
-                for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_ak[a][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
-                    n_k[old] -= 1;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        *wt = (n_ak[a][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
-                            / (n_k[t] as f64 + vb);
-                    }
-                    let new = sample_discrete(&mut rng, &weights);
-                    z[d][i] = new;
-                    n_ak[a][new] += 1;
-                    n_kw[new][w as usize] += 1;
-                    n_k[new] += 1;
+            for ((doc, zd), &a) in corpus.docs.iter().zip(&mut z).zip(authors) {
+                let na = &mut n_ak[a as usize];
+                for (&w, zi) in doc.iter().zip(zd.iter_mut()) {
+                    na[*zi] -= 1;
+                    counts.remove(w, *zi);
+                    counts.weights(w, na, cfg.alpha, &mut weights);
+                    *zi = sample_discrete(&mut rng, &weights);
+                    na[*zi] += 1;
+                    counts.add(w, *zi);
                 }
             }
         }
-        let phi = estimate_phi(&n_kw, &n_k, cfg.beta);
+        let phi = counts.phi();
         let theta_author = n_ak
             .iter()
             .zip(&n_a)
@@ -151,16 +140,20 @@ impl AtmModel {
     pub fn num_authors(&self) -> usize {
         self.theta_author.len()
     }
+
+    /// `P(w | z=k)` for every word and topic.
+    pub fn phi(&self) -> &WordTopic<f32> {
+        &self.phi
+    }
 }
 
 impl TopicModel for AtmModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     fn infer(&self, doc: &[TermId], rng: &mut StdRng) -> Vec<f32> {
-        let alphas = vec![self.alpha; self.phi.len()];
-        fold_in(&self.phi, &alphas, doc, self.infer_iterations, rng)
+        fold_in(&self.phi, |_| self.alpha, doc, self.infer_iterations, rng)
     }
 }
 

@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::lda::estimate_phi;
+use crate::model::{normalize, sample_discrete, uniform, TopicModel, WordTopic};
 
 /// BTM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,8 +49,8 @@ impl BtmConfig {
 /// A trained BTM model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BtmModel {
-    /// `phi[k][w] = P(w | z=k)`.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` and topic `k`.
+    phi: WordTopic<f32>,
     /// Corpus-level topic distribution θ.
     theta: Vec<f32>,
     /// Window used for document-side biterm extraction.
@@ -80,56 +81,33 @@ impl BtmModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let all: Vec<(TermId, TermId)> =
             corpus.docs.iter().flat_map(|d| biterms(d, cfg.window)).collect();
-        let mut n_z = vec![0u32; k];
-        let mut n_zw = vec![vec![0u32; v]; k];
+        let mut counts = BitermCounts::new(v, k, cfg.alpha, cfg.beta);
         let mut z: Vec<usize> = all
             .iter()
-            .map(|&(w1, w2)| {
+            .map(|&b| {
                 let t = rng.gen_range(0..k);
-                n_z[t] += 1;
-                n_zw[t][w1 as usize] += 1;
-                n_zw[t][w2 as usize] += 1;
+                counts.add(b, t);
                 t
             })
             .collect();
-        let vb = v as f64 * cfg.beta;
         let mut weights = vec![0.0f64; k];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.btm");
-            for (bi, &(w1, w2)) in all.iter().enumerate() {
-                let old = z[bi];
-                n_z[old] -= 1;
-                n_zw[old][w1 as usize] -= 1;
-                n_zw[old][w2 as usize] -= 1;
-                for (t, wt) in weights.iter_mut().enumerate() {
-                    let nz = n_z[t] as f64;
-                    *wt = (nz + cfg.alpha)
-                        * (n_zw[t][w1 as usize] as f64 + cfg.beta)
-                        * (n_zw[t][w2 as usize] as f64 + cfg.beta)
-                        / ((2.0 * nz + vb) * (2.0 * nz + 1.0 + vb));
-                }
-                let new = sample_discrete(&mut rng, &weights);
-                z[bi] = new;
-                n_z[new] += 1;
-                n_zw[new][w1 as usize] += 1;
-                n_zw[new][w2 as usize] += 1;
+            for (&b, zb) in all.iter().zip(z.iter_mut()) {
+                counts.remove(b, *zb);
+                counts.weights(b, &mut weights);
+                *zb = sample_discrete(&mut rng, &weights);
+                counts.add(b, *zb);
             }
         }
         let total_b = all.len() as f64;
-        let mut theta: Vec<f32> = n_z
+        let mut theta: Vec<f32> = counts
+            .n_z
             .iter()
             .map(|&c| ((c as f64 + cfg.alpha) / (total_b + k as f64 * cfg.alpha)) as f32)
             .collect();
         normalize(&mut theta);
-        let phi = n_zw
-            .iter()
-            .zip(&n_z)
-            .map(|(row, &nz)| {
-                let denom = 2.0 * nz as f64 + vb;
-                row.iter().map(|&c| ((c as f64 + cfg.beta) / denom) as f32).collect()
-            })
-            .collect();
-        BtmModel { phi, theta, window: cfg.window }
+        BtmModel { phi: counts.phi(), theta, window: cfg.window }
     }
 
     /// The corpus-level topic distribution θ.
@@ -137,35 +115,95 @@ impl BtmModel {
         &self.theta
     }
 
-    /// `P(w | z=k)` rows.
-    pub fn phi(&self) -> &[Vec<f32>] {
+    /// `P(w | z=k)` for every word and topic.
+    pub fn phi(&self) -> &WordTopic<f32> {
         &self.phi
     }
+}
 
-    /// `P(z | b) ∝ θ_z · φ_z,w1 · φ_z,w2`.
-    fn topic_given_biterm(&self, w1: TermId, w2: TermId) -> Vec<f32> {
-        let mut p: Vec<f32> = self
-            .theta
-            .iter()
-            .enumerate()
-            .map(|(t, &th)| {
-                th * self.phi[t].get(w1 as usize).copied().unwrap_or(0.0)
-                    * self.phi[t].get(w2 as usize).copied().unwrap_or(0.0)
-            })
-            .collect();
-        normalize(&mut p);
-        p
+/// The topic–word side of the BTM sampler: word-major counts `n_wz` (a
+/// biterm counts both its words in its topic), biterms per topic `n_z`,
+/// and the two factors of a weight that depend on `n_z` alone, `n_z + α`
+/// and `(2n_z + Vβ)(2n_z + 1 + Vβ)`. A draw changes those for its old and
+/// new topic only, so only those two are recomputed.
+#[derive(Debug)]
+struct BitermCounts {
+    n_wz: WordTopic<u32>,
+    n_z: Vec<u32>,
+    prior: Vec<f64>,
+    denom: Vec<f64>,
+    alpha: f64,
+    beta: f64,
+    vb: f64,
+}
+
+impl BitermCounts {
+    fn new(words: usize, topics: usize, alpha: f64, beta: f64) -> Self {
+        let mut counts = BitermCounts {
+            n_wz: WordTopic::new(words, topics),
+            n_z: vec![0; topics],
+            prior: vec![0.0; topics],
+            denom: vec![0.0; topics],
+            alpha,
+            beta,
+            vb: words as f64 * beta,
+        };
+        (0..topics).for_each(|t| counts.refresh(t));
+        counts
     }
+
+    fn refresh(&mut self, t: usize) {
+        let nz = self.n_z[t] as f64;
+        self.prior[t] = nz + self.alpha;
+        self.denom[t] = (2.0 * nz + self.vb) * (2.0 * nz + 1.0 + self.vb);
+    }
+
+    fn add(&mut self, (w1, w2): (TermId, TermId), t: usize) {
+        self.n_z[t] += 1;
+        self.n_wz.row_mut(w1 as usize)[t] += 1;
+        self.n_wz.row_mut(w2 as usize)[t] += 1;
+        self.refresh(t);
+    }
+
+    fn remove(&mut self, (w1, w2): (TermId, TermId), t: usize) {
+        self.n_z[t] -= 1;
+        self.n_wz.row_mut(w1 as usize)[t] -= 1;
+        self.n_wz.row_mut(w2 as usize)[t] -= 1;
+        self.refresh(t);
+    }
+
+    /// The collapsed Gibbs weight of biterm `(w1, w2)` under every topic,
+    /// `(n_z + α)(n_w1z + β)(n_w2z + β) / ((2n_z + Vβ)(2n_z + 1 + Vβ))`,
+    /// into `out`.
+    fn weights(&self, (w1, w2): (TermId, TermId), out: &mut [f64]) {
+        let (r1, r2) = (self.n_wz.row(w1 as usize), self.n_wz.row(w2 as usize));
+        for ((((wt, &p), &c1), &c2), &den) in
+            out.iter_mut().zip(&self.prior).zip(r1).zip(r2).zip(&self.denom)
+        {
+            *wt = p * (c1 as f64 + self.beta) * (c2 as f64 + self.beta) / den;
+        }
+    }
+
+    /// The smoothed φ: a topic's word total is twice its biterm count.
+    fn phi(&self) -> WordTopic<f32> {
+        let words_in_topic: Vec<u32> = self.n_z.iter().map(|&nz| 2 * nz).collect();
+        estimate_phi(&self.n_wz, &words_in_topic, self.beta)
+    }
+}
+
+/// Topic `t`'s entry of a φ row, 0 for a word outside the vocabulary.
+fn phi_at(row: Option<&[f32]>, t: usize) -> f32 {
+    row.map_or(0.0, |r| r[t])
 }
 
 impl TopicModel for BtmModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     /// BTM document inference is deterministic (no sampling): it averages
-    /// `P(z|b)` over the document's biterms. The RNG is unused but kept for
-    /// interface uniformity.
+    /// `P(z|b) ∝ θ_z · φ_z,w1 · φ_z,w2` over the document's biterms. The
+    /// RNG is unused but kept for interface uniformity.
     fn infer(&self, doc: &[TermId], _rng: &mut StdRng) -> Vec<f32> {
         let k = self.num_topics();
         // For individual short documents the paper sets the window to the
@@ -175,12 +213,9 @@ impl TopicModel for BtmModel {
         if bs.is_empty() {
             // Single-word fallback: P(z|w) ∝ θ_z φ_z,w.
             if let Some(&w) = doc.first() {
-                let mut p: Vec<f32> = self
-                    .theta
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &th)| th * self.phi[t].get(w as usize).copied().unwrap_or(0.0))
-                    .collect();
+                let row = self.phi.get(w as usize);
+                let mut p: Vec<f32> =
+                    self.theta.iter().enumerate().map(|(t, &th)| th * phi_at(row, t)).collect();
                 normalize(&mut p);
                 if p.iter().sum::<f32>() > 0.0 {
                     return p;
@@ -189,10 +224,15 @@ impl TopicModel for BtmModel {
             return uniform(k);
         }
         let mut acc = vec![0.0f32; k];
+        let mut p = vec![0.0f32; k];
         let share = 1.0 / bs.len() as f32;
         for (w1, w2) in bs {
-            let p = self.topic_given_biterm(w1, w2);
-            for (a, q) in acc.iter_mut().zip(p) {
+            let (r1, r2) = (self.phi.get(w1 as usize), self.phi.get(w2 as usize));
+            for (t, (pt, &th)) in p.iter_mut().zip(&self.theta).enumerate() {
+                *pt = th * phi_at(r1, t) * phi_at(r2, t);
+            }
+            normalize(&mut p);
+            for (a, &q) in acc.iter_mut().zip(&p) {
                 *a += q * share;
             }
         }
@@ -270,8 +310,49 @@ mod tests {
         let corpus = two_cluster_corpus();
         let model = BtmModel::train(&BtmConfig::paper(4, 50, 9), &corpus);
         assert!((model.theta().iter().sum::<f32>() - 1.0).abs() < 1e-4);
-        for row in model.phi() {
-            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-3);
+        let phi = model.phi();
+        for t in 0..phi.topics() {
+            assert!((phi.topic(t).sum::<f32>() - 1.0).abs() < 1e-3);
+        }
+    }
+
+    /// The cached-factor kernel computes each weight with the operands and
+    /// the order of the topic-major expression it replaced, bit for bit.
+    #[test]
+    fn weights_match_the_topic_major_expression_bit_for_bit() {
+        let (v, k, alpha, beta) = (6usize, 4usize, 12.5, 0.01);
+        let vb = v as f64 * beta;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut counts = BitermCounts::new(v, k, alpha, beta);
+        let mut n_zw = vec![vec![0u32; v]; k];
+        let mut n_z = vec![0u32; k];
+        let mut placed: Vec<((TermId, TermId), usize)> = Vec::new();
+        let mut out = vec![0.0f64; k];
+        for step in 0..600 {
+            if step % 3 == 2 && !placed.is_empty() {
+                let ((w1, w2), t) = placed.swap_remove(rng.gen_range(0..placed.len()));
+                counts.remove((w1, w2), t);
+                n_z[t] -= 1;
+                n_zw[t][w1 as usize] -= 1;
+                n_zw[t][w2 as usize] -= 1;
+            } else {
+                let b = (rng.gen_range(0..v) as TermId, rng.gen_range(0..v) as TermId);
+                let t = rng.gen_range(0..k);
+                counts.add(b, t);
+                n_z[t] += 1;
+                n_zw[t][b.0 as usize] += 1;
+                n_zw[t][b.1 as usize] += 1;
+                placed.push((b, t));
+            }
+            let (w1, w2) = (rng.gen_range(0..v), rng.gen_range(0..v));
+            counts.weights((w1 as TermId, w2 as TermId), &mut out);
+            for (t, &wt) in out.iter().enumerate() {
+                let nz = n_z[t] as f64;
+                let expected =
+                    (nz + alpha) * (n_zw[t][w1] as f64 + beta) * (n_zw[t][w2] as f64 + beta)
+                        / ((2.0 * nz + vb) * (2.0 * nz + 1.0 + vb));
+                assert_eq!(wt.to_bits(), expected.to_bits(), "step {step}, topic {t}");
+            }
         }
     }
 

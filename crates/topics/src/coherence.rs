@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
+use crate::model::WordTopic;
 
 /// UMass coherence of one topic given its `top_words` (most probable
 /// first):
@@ -59,12 +60,17 @@ pub fn top_words(phi_row: &[f32], k: usize) -> Vec<TermId> {
 }
 
 /// Mean UMass coherence over all topics of a φ matrix.
-pub fn mean_coherence(corpus: &TopicCorpus, phi: &[Vec<f32>], top_k: usize) -> f64 {
-    if phi.is_empty() {
+pub fn mean_coherence(corpus: &TopicCorpus, phi: &WordTopic<f32>, top_k: usize) -> f64 {
+    if phi.topics() == 0 {
         return 0.0;
     }
-    let total: f64 = phi.iter().map(|row| umass_coherence(corpus, &top_words(row, top_k))).sum();
-    total / phi.len() as f64
+    let total: f64 = (0..phi.topics())
+        .map(|t| {
+            let row: Vec<f32> = phi.topic(t).collect();
+            umass_coherence(corpus, &top_words(&row, top_k))
+        })
+        .sum();
+    total / phi.topics() as f64
 }
 
 #[cfg(test)]
@@ -124,6 +130,6 @@ mod tests {
     fn empty_inputs_are_neutral() {
         let corpus = clustered_corpus();
         assert_eq!(umass_coherence(&corpus, &[]), 0.0);
-        assert_eq!(mean_coherence(&corpus, &[], 5), 0.0);
+        assert_eq!(mean_coherence(&corpus, &WordTopic::new(corpus.vocab_size(), 0), 5), 0.0);
     }
 }

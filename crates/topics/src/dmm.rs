@@ -26,7 +26,8 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::lda::estimate_phi;
+use crate::model::{normalize, sample_discrete, uniform, TopicModel, WordTopic};
 
 /// DMM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,8 +54,8 @@ impl Default for DmmConfig {
 /// A trained DMM model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DmmModel {
-    /// `phi[k][w] = P(w | z=k)`.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` and cluster `k`.
+    phi: WordTopic<f32>,
     /// Cluster proportions.
     weights: Vec<f32>,
     /// Hard cluster assignment of each training document.
@@ -69,7 +70,7 @@ impl DmmModel {
         let v = corpus.vocab_size().max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut m_k = vec![0u32; k];
-        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_wk = WordTopic::<u32>::new(v, k);
         let mut n_k = vec![0u32; k];
         let mut z: Vec<usize> = corpus
             .docs
@@ -78,7 +79,7 @@ impl DmmModel {
                 let t = rng.gen_range(0..k);
                 m_k[t] += 1;
                 for &w in doc {
-                    n_kw[t][w as usize] += 1;
+                    n_wk.row_mut(w as usize)[t] += 1;
                 }
                 n_k[t] += doc.len() as u32;
                 t
@@ -91,7 +92,7 @@ impl DmmModel {
                 let old = z[d];
                 m_k[old] -= 1;
                 for &w in doc {
-                    n_kw[old][w as usize] -= 1;
+                    n_wk.row_mut(w as usize)[old] -= 1;
                 }
                 n_k[old] -= doc.len() as u32;
                 // Per-document word counts.
@@ -100,33 +101,35 @@ impl DmmModel {
                 for &w in doc {
                     *counts.entry(w).or_insert(0) += 1;
                 }
-                // Log-space cluster scores.
-                let scores: Vec<f64> = (0..k)
-                    .map(|t| {
-                        let mut s = (m_k[t] as f64 + cfg.alpha).ln();
-                        for (&w, &c) in &counts {
-                            for j in 0..c {
-                                s += (n_kw[t][w as usize] as f64 + cfg.beta + j as f64).ln();
-                            }
+                // Log-space cluster scores, reading one count row per word.
+                // Each cluster still sums ln(m_k + α), then every (word,
+                // repeat) term, then every position term, in that order.
+                let mut scores: Vec<f64> =
+                    m_k.iter().map(|&m| (m as f64 + cfg.alpha).ln()).collect();
+                for (&w, &c) in &counts {
+                    for (s, &n) in scores.iter_mut().zip(n_wk.row(w as usize)) {
+                        for j in 0..c {
+                            *s += (n as f64 + cfg.beta + j as f64).ln();
                         }
-                        for i in 0..doc.len() {
-                            s -= (n_k[t] as f64 + vb + i as f64).ln();
-                        }
-                        s
-                    })
-                    .collect();
+                    }
+                }
+                for (s, &nk) in scores.iter_mut().zip(&n_k) {
+                    for i in 0..doc.len() {
+                        *s -= (nk as f64 + vb + i as f64).ln();
+                    }
+                }
                 let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let weights: Vec<f64> = scores.iter().map(|&s| (s - max).exp()).collect();
                 let new = sample_discrete(&mut rng, &weights);
                 z[d] = new;
                 m_k[new] += 1;
                 for &w in doc {
-                    n_kw[new][w as usize] += 1;
+                    n_wk.row_mut(w as usize)[new] += 1;
                 }
                 n_k[new] += doc.len() as u32;
             }
         }
-        let phi = crate::lda::estimate_phi(&n_kw, &n_k, cfg.beta);
+        let phi = estimate_phi(&n_wk, &n_k, cfg.beta);
         let total_docs: f64 = m_k.iter().map(|&c| c as f64).sum();
         let mut weights: Vec<f32> = m_k
             .iter()
@@ -138,7 +141,7 @@ impl DmmModel {
 
     /// Number of clusters actually populated after training.
     pub fn populated_clusters(&self) -> usize {
-        let mut seen: Vec<bool> = vec![false; self.phi.len()];
+        let mut seen: Vec<bool> = vec![false; self.phi.topics()];
         for &a in &self.assignments {
             seen[a] = true;
         }
@@ -150,27 +153,31 @@ impl DmmModel {
         self.assignments[d]
     }
 
+    /// `P(w | z=k)` for every word and cluster.
+    pub fn phi(&self) -> &WordTopic<f32> {
+        &self.phi
+    }
+
     /// The MAP cluster of an unseen document — a *hard* assignment, which
     /// is exactly what breaks ranking-based recommendation.
     pub fn classify(&self, doc: &[TermId]) -> usize {
-        let scores: Vec<f64> = (0..self.phi.len())
-            .map(|t| {
-                let mut s = (self.weights[t].max(f32::MIN_POSITIVE) as f64).ln();
-                for &w in doc {
-                    s += (self.phi[t].get(w as usize).copied().unwrap_or(f32::MIN_POSITIVE) as f64)
-                        .max(f64::MIN_POSITIVE)
-                        .ln();
-                }
-                s
-            })
-            .collect();
+        let mut scores: Vec<f64> =
+            self.weights.iter().map(|&p| (p.max(f32::MIN_POSITIVE) as f64).ln()).collect();
+        for &w in doc {
+            // An unknown word scores every cluster with the same tiny mass.
+            let row = self.phi.get(w as usize);
+            for (t, s) in scores.iter_mut().enumerate() {
+                let p = row.map_or(f32::MIN_POSITIVE, |r| r[t]);
+                *s += (p as f64).max(f64::MIN_POSITIVE).ln();
+            }
+        }
         scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap_or(0)
     }
 }
 
 impl TopicModel for DmmModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     /// Returns the one-hot distribution of the MAP cluster — faithful to

@@ -18,7 +18,7 @@ use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
 use crate::lda::{estimate_phi, fold_in};
-use crate::model::{sample_discrete, TopicModel};
+use crate::model::{sample_discrete, TopicModel, WordTopic};
 
 /// HDP hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,8 +59,8 @@ impl HdpConfig {
 /// A trained HDP model: the discovered topics plus the global weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HdpModel {
-    /// `phi[k][w] = P(w | z=k)` for the discovered topics.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` and discovered topic `k`.
+    phi: WordTopic<f32>,
     /// Per-topic prior mass `α · β_k` used at inference.
     alpha_beta: Vec<f64>,
     infer_iterations: usize,
@@ -113,7 +113,9 @@ impl HdpModel {
     pub fn train(cfg: &HdpConfig, corpus: &TopicCorpus) -> Self {
         let v = corpus.vocab_size().max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // Start from one topic; the sampler grows the set.
+        // Start from one topic; the sampler grows the set. The topic–word
+        // counts stay topic-major (`n_kw[k][w]`): topics are appended and
+        // compacted every sweep, and each would re-lay a word-major matrix.
         let mut k = 1usize;
         let mut n_dk: Vec<Vec<u32>> = vec![vec![0; k]; corpus.len()];
         let mut n_kw: Vec<Vec<u32>> = vec![vec![0; v]; k];
@@ -136,6 +138,7 @@ impl HdpModel {
             })
             .collect();
         let ve = v as f64 * cfg.eta;
+        let mut weights: Vec<f64> = Vec::new();
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.hdp");
             for d in 0..corpus.len() {
@@ -147,13 +150,11 @@ impl HdpModel {
                     n_kw[old][w] -= 1;
                     n_k[old] -= 1;
                     // Weights over existing topics plus one "new topic" slot.
-                    let mut weights: Vec<f64> = (0..k)
-                        .map(|t| {
-                            (n_dk[d][t] as f64 + cfg.alpha * beta[t])
-                                * (n_kw[t][w] as f64 + cfg.eta)
-                                / (n_k[t] as f64 + ve)
-                        })
-                        .collect();
+                    weights.clear();
+                    weights.extend((0..k).map(|t| {
+                        (n_dk[d][t] as f64 + cfg.alpha * beta[t]) * (n_kw[t][w] as f64 + cfg.eta)
+                            / (n_k[t] as f64 + ve)
+                    }));
                     let allow_new = k < cfg.max_topics;
                     if allow_new {
                         weights.push(cfg.alpha * beta[k] / v as f64);
@@ -221,7 +222,13 @@ impl HdpModel {
                 k = keep.len();
             }
         }
-        let phi = estimate_phi(&n_kw, &n_k, cfg.eta);
+        let mut n_wk = WordTopic::new(v, k);
+        for (t, row) in n_kw.iter().enumerate() {
+            for (w, &c) in row.iter().enumerate() {
+                n_wk.row_mut(w)[t] = c;
+            }
+        }
+        let phi = estimate_phi(&n_wk, &n_k, cfg.eta);
         let alpha_beta: Vec<f64> = (0..k).map(|t| cfg.alpha * beta[t]).collect();
         let theta_train = (0..corpus.len())
             .map(|d| {
@@ -242,7 +249,12 @@ impl HdpModel {
 
     /// Number of topics the sampler settled on.
     pub fn discovered_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
+    }
+
+    /// `P(w | z=k)` for every word and discovered topic.
+    pub fn phi(&self) -> &WordTopic<f32> {
+        &self.phi
     }
 
     /// The topic distribution of training document `d`.
@@ -253,11 +265,11 @@ impl HdpModel {
 
 impl TopicModel for HdpModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     fn infer(&self, doc: &[TermId], rng: &mut StdRng) -> Vec<f32> {
-        fold_in(&self.phi, &self.alpha_beta, doc, self.infer_iterations, rng)
+        fold_in(&self.phi, |t| self.alpha_beta[t], doc, self.infer_iterations, rng)
     }
 }
 

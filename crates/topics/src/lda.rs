@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::model::{fold_in_sweep, normalize, sample_discrete, uniform, TopicModel, WordTopic};
 
 /// LDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,8 +59,8 @@ impl Default for LdaConfig {
 /// A trained LDA model: topic–word distributions plus the θ prior.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LdaModel {
-    /// `phi[k][w] = P(w | z=k)`, row-stochastic.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` and topic `k`.
+    phi: WordTopic<f32>,
     /// Per-topic prior mass used at inference (`α` for every topic).
     alpha: f64,
     /// Fold-in sweeps at inference.
@@ -78,8 +78,7 @@ impl LdaModel {
         let v = corpus.vocab_size().max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut n_dk = vec![vec![0u32; k]; corpus.len()];
-        let mut n_kw = vec![vec![0u32; v]; k];
-        let mut n_k = vec![0u32; k];
+        let mut counts = WordCounts::new(v, k, cfg.beta);
         // Random initialization.
         let mut z: Vec<Vec<usize>> = corpus
             .docs
@@ -90,37 +89,27 @@ impl LdaModel {
                     .map(|&w| {
                         let t = rng.gen_range(0..k);
                         n_dk[d][t] += 1;
-                        n_kw[t][w as usize] += 1;
-                        n_k[t] += 1;
+                        counts.add(w, t);
                         t
                     })
                     .collect()
             })
             .collect();
-        let vb = v as f64 * cfg.beta;
         let mut weights = vec![0.0f64; k];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.lda");
-            for (d, doc) in corpus.docs.iter().enumerate() {
-                for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_dk[d][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
-                    n_k[old] -= 1;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        *wt = (n_dk[d][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
-                            / (n_k[t] as f64 + vb);
-                    }
-                    let new = sample_discrete(&mut rng, &weights);
-                    z[d][i] = new;
-                    n_dk[d][new] += 1;
-                    n_kw[new][w as usize] += 1;
-                    n_k[new] += 1;
+            for ((doc, zd), nd) in corpus.docs.iter().zip(&mut z).zip(&mut n_dk) {
+                for (&w, zi) in doc.iter().zip(zd.iter_mut()) {
+                    nd[*zi] -= 1;
+                    counts.remove(w, *zi);
+                    counts.weights(w, nd, cfg.alpha, &mut weights);
+                    *zi = sample_discrete(&mut rng, &weights);
+                    nd[*zi] += 1;
+                    counts.add(w, *zi);
                 }
             }
         }
-        let phi = estimate_phi(&n_kw, &n_k, cfg.beta);
+        let phi = counts.phi();
         let theta_train = corpus
             .docs
             .iter()
@@ -135,22 +124,97 @@ impl LdaModel {
         &self.theta_train[d]
     }
 
-    /// `P(w | z=k)` rows.
-    pub fn phi(&self) -> &[Vec<f32>] {
+    /// `P(w | z=k)` for every word and topic.
+    pub fn phi(&self) -> &WordTopic<f32> {
         &self.phi
     }
 }
 
-/// Smoothed maximum-likelihood estimate of φ from Gibbs counts.
-pub(crate) fn estimate_phi(n_kw: &[Vec<u32>], n_k: &[u32], beta: f64) -> Vec<Vec<f32>> {
-    let v = n_kw.first().map_or(0, Vec::len);
-    n_kw.iter()
-        .zip(n_k)
-        .map(|(row, &nk)| {
-            let denom = nk as f64 + v as f64 * beta;
-            row.iter().map(|&c| ((c as f64 + beta) / denom) as f32).collect()
-        })
-        .collect()
+/// The topic–word side of the LDA-family samplers (LDA, Labeled LDA,
+/// ATM): word-major counts `n_wk`, topic totals `n_k` and each topic's
+/// denominator `n_k + Vβ`. A draw changes the denominator of its old and
+/// new topic only, so only those two are recomputed.
+#[derive(Debug)]
+pub(crate) struct WordCounts {
+    n_wk: WordTopic<u32>,
+    n_k: Vec<u32>,
+    denom: Vec<f64>,
+    beta: f64,
+    vb: f64,
+}
+
+impl WordCounts {
+    /// Empty counts over `words` words and `topics` topics.
+    pub(crate) fn new(words: usize, topics: usize, beta: f64) -> Self {
+        let vb = words as f64 * beta;
+        WordCounts {
+            n_wk: WordTopic::new(words, topics),
+            n_k: vec![0; topics],
+            denom: vec![vb; topics],
+            beta,
+            vb,
+        }
+    }
+
+    /// Count one token of word `w` in topic `t`.
+    pub(crate) fn add(&mut self, w: TermId, t: usize) {
+        self.n_wk.row_mut(w as usize)[t] += 1;
+        self.n_k[t] += 1;
+        self.denom[t] = self.n_k[t] as f64 + self.vb;
+    }
+
+    /// Uncount one token of word `w` in topic `t`.
+    pub(crate) fn remove(&mut self, w: TermId, t: usize) {
+        self.n_wk.row_mut(w as usize)[t] -= 1;
+        self.n_k[t] -= 1;
+        self.denom[t] = self.n_k[t] as f64 + self.vb;
+    }
+
+    /// The collapsed Gibbs weight of word `w` under every topic `t`,
+    /// `(mix_t + α) · (n_wt + β) / (n_t + Vβ)`, into `out`. `mix` holds the
+    /// document's (LDA) or the author's (ATM) topic counts.
+    pub(crate) fn weights(&self, w: TermId, mix: &[u32], alpha: f64, out: &mut [f64]) {
+        let row = self.n_wk.row(w as usize);
+        for (((wt, &c_m), &c_w), &den) in out.iter_mut().zip(mix).zip(row).zip(&self.denom) {
+            *wt = (c_m as f64 + alpha) * (c_w as f64 + self.beta) / den;
+        }
+    }
+
+    /// The same weights for `topics` only, in that order (Labeled LDA's
+    /// allowed topics).
+    pub(crate) fn weights_in(
+        &self,
+        w: TermId,
+        mix: &[u32],
+        topics: &[usize],
+        alpha: f64,
+        out: &mut [f64],
+    ) {
+        let row = self.n_wk.row(w as usize);
+        for (wt, &t) in out.iter_mut().zip(topics) {
+            *wt = (mix[t] as f64 + alpha) * (row[t] as f64 + self.beta) / self.denom[t];
+        }
+    }
+
+    /// The smoothed φ of these counts.
+    pub(crate) fn phi(&self) -> WordTopic<f32> {
+        estimate_phi(&self.n_wk, &self.n_k, self.beta)
+    }
+}
+
+/// Smoothed maximum-likelihood estimate of φ from word-major Gibbs counts:
+/// `φ[w][k] = (n_wk + β) / (n_k + Vβ)`, with `n_k` the tokens counted in
+/// topic `k`.
+pub(crate) fn estimate_phi(n_wk: &WordTopic<u32>, n_k: &[u32], beta: f64) -> WordTopic<f32> {
+    let v = n_wk.words();
+    let denom: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + v as f64 * beta).collect();
+    let mut phi = WordTopic::new(v, n_wk.topics());
+    for w in 0..v {
+        for ((p, &c), &den) in phi.row_mut(w).iter_mut().zip(n_wk.row(w)).zip(&denom) {
+            *p = ((c as f64 + beta) / den) as f32;
+        }
+    }
+    phi
 }
 
 /// Smoothed estimate of θ from per-document topic counts.
@@ -162,16 +226,16 @@ pub(crate) fn estimate_theta(n_dk: &[u32], doc_len: usize, alpha: f64) -> Vec<f3
     theta
 }
 
-/// Shared fold-in Gibbs inference over a fixed φ: used by LDA, LLDA and HDP
-/// document inference.
+/// Shared fold-in Gibbs inference over a fixed φ: used by LDA, LLDA, ATM
+/// and HDP document inference. `alpha(t)` is topic `t`'s prior mass.
 pub(crate) fn fold_in(
-    phi: &[Vec<f32>],
-    alpha_per_topic: &[f64],
+    phi: &WordTopic<f32>,
+    alpha: impl Fn(usize) -> f64,
     doc: &[TermId],
     iterations: usize,
     rng: &mut StdRng,
 ) -> Vec<f32> {
-    let k = phi.len();
+    let k = phi.topics();
     if doc.is_empty() || k == 0 {
         return uniform(k);
     }
@@ -186,34 +250,23 @@ pub(crate) fn fold_in(
         .collect();
     let mut weights = vec![0.0f64; k];
     for _ in 0..iterations.max(1) {
-        for (i, &w) in doc.iter().enumerate() {
-            let old = z[i];
-            n_dk[old] -= 1;
-            for (t, wt) in weights.iter_mut().enumerate() {
-                *wt = (n_dk[t] as f64 + alpha_per_topic[t])
-                    * phi[t].get(w as usize).copied().unwrap_or(0.0) as f64;
-            }
-            let new = sample_discrete(rng, &weights);
-            z[i] = new;
-            n_dk[new] += 1;
-        }
+        fold_in_sweep(phi, &alpha, doc, &mut z, &mut n_dk, &mut weights, rng);
     }
-    let alpha_sum: f64 = alpha_per_topic.iter().sum();
+    let alpha_sum: f64 = (0..k).map(&alpha).sum();
     let denom = doc.len() as f64 + alpha_sum;
     let mut theta: Vec<f32> =
-        n_dk.iter().zip(alpha_per_topic).map(|(&c, &a)| ((c as f64 + a) / denom) as f32).collect();
+        n_dk.iter().enumerate().map(|(t, &c)| ((c as f64 + alpha(t)) / denom) as f32).collect();
     normalize(&mut theta);
     theta
 }
 
 impl TopicModel for LdaModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     fn infer(&self, doc: &[TermId], rng: &mut StdRng) -> Vec<f32> {
-        let alphas = vec![self.alpha; self.phi.len()];
-        fold_in(&self.phi, &alphas, doc, self.infer_iterations, rng)
+        fold_in(&self.phi, |_| self.alpha, doc, self.infer_iterations, rng)
     }
 }
 
@@ -287,9 +340,50 @@ mod tests {
     fn phi_rows_are_distributions() {
         let corpus = two_cluster_corpus();
         let model = LdaModel::train(&LdaConfig::paper(3, 20, 1), &corpus);
-        for row in model.phi() {
-            let s: f32 = row.iter().sum();
+        let phi = model.phi();
+        for t in 0..phi.topics() {
+            let s: f32 = phi.topic(t).sum();
             assert!((s - 1.0).abs() < 1e-3, "phi row sums to {s}");
+        }
+    }
+
+    /// The cached-denominator kernel computes each weight with the operands
+    /// and the order of the topic-major expression it replaced,
+    /// `(n_dk + α) * (n_kw + β) / (n_k + Vβ)`, bit for bit.
+    #[test]
+    fn weights_match_the_topic_major_expression_bit_for_bit() {
+        let (v, k, alpha, beta) = (7usize, 5usize, 0.37, 0.013);
+        let vb = v as f64 * beta;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut counts = WordCounts::new(v, k, beta);
+        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_k = vec![0u32; k];
+        let topics: Vec<usize> = (0..k).rev().step_by(2).collect();
+        let mut out = vec![0.0f64; k];
+        for step in 0..600 {
+            let (w, t) = (rng.gen_range(0..v), rng.gen_range(0..k));
+            if step % 3 == 2 && n_kw[t][w] > 0 {
+                counts.remove(w as TermId, t);
+                n_kw[t][w] -= 1;
+                n_k[t] -= 1;
+            } else {
+                counts.add(w as TermId, t);
+                n_kw[t][w] += 1;
+                n_k[t] += 1;
+            }
+            let mix: Vec<u32> = (0..k).map(|_| rng.gen_range(0..40)).collect();
+            let probe = rng.gen_range(0..v);
+            let expected = |t: usize| {
+                (mix[t] as f64 + alpha) * (n_kw[t][probe] as f64 + beta) / (n_k[t] as f64 + vb)
+            };
+            counts.weights(probe as TermId, &mix, alpha, &mut out);
+            for (t, &wt) in out.iter().enumerate() {
+                assert_eq!(wt.to_bits(), expected(t).to_bits(), "step {step}, topic {t}");
+            }
+            counts.weights_in(probe as TermId, &mix, &topics, alpha, &mut out);
+            for (&wt, &t) in out.iter().zip(&topics) {
+                assert_eq!(wt.to_bits(), expected(t).to_bits(), "step {step}, topic {t}");
+            }
         }
     }
 

@@ -54,7 +54,7 @@ pub use hlda::{HldaConfig, HldaModel};
 pub use label::{LabelId, Labeler};
 pub use lda::{LdaConfig, LdaModel};
 pub use llda::{LldaConfig, LldaModel};
-pub use model::TopicModel;
+pub use model::{TopicModel, WordTopic};
 pub use online::{OnlineTopicConfig, TopicBackground, TopicDoc, TopicProfile};
 pub use plsa::{PlsaConfig, PlsaModel};
 pub use pooling::PoolingScheme;

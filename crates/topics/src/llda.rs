@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::lda::{estimate_phi, fold_in};
-use crate::model::{sample_discrete, TopicModel};
+use crate::lda::{fold_in, WordCounts};
+use crate::model::{sample_discrete, TopicModel, WordTopic};
 
 /// Labeled-LDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,8 +54,8 @@ impl LldaConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LldaModel {
     /// Topic–word distributions over labels ++ latent topics.
-    phi: Vec<Vec<f32>>,
-    /// Number of observed label topics (the first `num_labels` rows of φ).
+    phi: WordTopic<f32>,
+    /// Number of observed label topics (the first `num_labels` topics of φ).
     num_labels: usize,
     alpha: f64,
     infer_iterations: usize,
@@ -92,8 +92,7 @@ impl LldaModel {
             })
             .collect();
         let mut n_dk = vec![vec![0u32; k]; corpus.len()];
-        let mut n_kw = vec![vec![0u32; v]; k];
-        let mut n_k = vec![0u32; k];
+        let mut counts = WordCounts::new(v, k, cfg.beta);
         let mut z: Vec<Vec<usize>> = corpus
             .docs
             .iter()
@@ -103,38 +102,29 @@ impl LldaModel {
                     .map(|&w| {
                         let t = allowed[d][rng.gen_range(0..allowed[d].len())];
                         n_dk[d][t] += 1;
-                        n_kw[t][w as usize] += 1;
-                        n_k[t] += 1;
+                        counts.add(w, t);
                         t
                     })
                     .collect()
             })
             .collect();
-        let vb = v as f64 * cfg.beta;
+        let mut weights = vec![0.0f64; allowed.iter().map(Vec::len).max().unwrap_or(0)];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.llda");
-            for (d, doc) in corpus.docs.iter().enumerate() {
-                let a = &allowed[d];
-                let mut weights = vec![0.0f64; a.len()];
-                for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_dk[d][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
-                    n_k[old] -= 1;
-                    for (ai, &t) in a.iter().enumerate() {
-                        weights[ai] = (n_dk[d][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
-                            / (n_k[t] as f64 + vb);
-                    }
-                    let new = a[sample_discrete(&mut rng, &weights)];
-                    z[d][i] = new;
-                    n_dk[d][new] += 1;
-                    n_kw[new][w as usize] += 1;
-                    n_k[new] += 1;
+            for (((doc, zd), nd), a) in corpus.docs.iter().zip(&mut z).zip(&mut n_dk).zip(&allowed)
+            {
+                let weights = &mut weights[..a.len()];
+                for (&w, zi) in doc.iter().zip(zd.iter_mut()) {
+                    nd[*zi] -= 1;
+                    counts.remove(w, *zi);
+                    counts.weights_in(w, nd, a, cfg.alpha, weights);
+                    *zi = a[sample_discrete(&mut rng, weights)];
+                    nd[*zi] += 1;
+                    counts.add(w, *zi);
                 }
             }
         }
-        let phi = estimate_phi(&n_kw, &n_k, cfg.beta);
+        let phi = counts.phi();
         let theta_train = (0..corpus.len())
             .map(|d| crate::lda::estimate_theta(&n_dk[d], corpus.docs[d].len(), cfg.alpha))
             .collect();
@@ -152,6 +142,12 @@ impl LldaModel {
         self.num_labels
     }
 
+    /// `P(w | z=k)` for every word and topic (labels first, then the
+    /// latent topics).
+    pub fn phi(&self) -> &WordTopic<f32> {
+        &self.phi
+    }
+
     /// The topic distribution of training document `d`.
     pub fn theta_train(&self, d: usize) -> &[f32] {
         &self.theta_train[d]
@@ -160,12 +156,11 @@ impl LldaModel {
 
 impl TopicModel for LldaModel {
     fn num_topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
     fn infer(&self, doc: &[TermId], rng: &mut StdRng) -> Vec<f32> {
-        let alphas = vec![self.alpha; self.phi.len()];
-        fold_in(&self.phi, &alphas, doc, self.infer_iterations, rng)
+        fold_in(&self.phi, |_| self.alpha, doc, self.infer_iterations, rng)
     }
 }
 

@@ -2,6 +2,8 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use serde::value::{expect_field, expect_object};
+use serde::{Deserialize, Serialize, Value};
 
 use pmr_text::vocab::TermId;
 
@@ -17,6 +19,114 @@ pub trait TopicModel: Send + Sync {
     /// (non-negative, sums to 1); an empty or fully out-of-vocabulary
     /// document yields the uniform distribution.
     fn infer(&self, doc: &[TermId], rng: &mut StdRng) -> Vec<f32>;
+}
+
+/// A `[word][topic]` matrix: the Gibbs samplers' topic–word counts and φ.
+///
+/// Entry `(w, t)` lives at `data[w * topics + t]`, so what a Gibbs draw or
+/// a fold-in step reads — one word's value under every topic — is one
+/// contiguous row. [`WordTopic::topic`] walks one topic across the
+/// vocabulary for the readers that want φ topic by topic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WordTopic<T> {
+    words: usize,
+    topics: usize,
+    data: Vec<T>,
+}
+
+impl<T: Copy + Default> WordTopic<T> {
+    /// A matrix of `words` rows over `topics` topics, every entry
+    /// `T::default()`.
+    pub fn new(words: usize, topics: usize) -> Self {
+        WordTopic { words, topics, data: vec![T::default(); words * topics] }
+    }
+
+    /// Vocabulary size: the number of rows.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Number of topics: the length of every row.
+    pub fn topics(&self) -> usize {
+        self.topics
+    }
+
+    /// Word `w`'s values under every topic. Panics if `w` is outside the
+    /// vocabulary.
+    pub fn row(&self, w: usize) -> &[T] {
+        &self.data[w * self.topics..(w + 1) * self.topics]
+    }
+
+    /// Word `w`'s values under every topic, mutably.
+    pub fn row_mut(&mut self, w: usize) -> &mut [T] {
+        &mut self.data[w * self.topics..(w + 1) * self.topics]
+    }
+
+    /// Word `w`'s row, or `None` for a word outside the vocabulary.
+    pub fn get(&self, w: usize) -> Option<&[T]> {
+        (w < self.words).then(|| self.row(w))
+    }
+
+    /// Topic `t`'s value for every word, in word order. Panics if `t` is
+    /// not a topic.
+    pub fn topic(&self, t: usize) -> impl ExactSizeIterator<Item = T> + '_ {
+        assert!(t < self.topics, "topic {t} out of range for {} topics", self.topics);
+        self.data.iter().skip(t).step_by(self.topics).copied()
+    }
+}
+
+impl<T: Serialize> Serialize for WordTopic<T> {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("words".to_owned(), self.words.serialize()),
+            ("topics".to_owned(), self.topics.serialize()),
+            ("data".to_owned(), self.data.serialize()),
+        ])
+    }
+}
+
+impl<T: Deserialize> Deserialize for WordTopic<T> {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let obj = expect_object(v, "WordTopic")?;
+        let words = usize::deserialize(expect_field(obj, "words", "WordTopic")?)?;
+        let topics = usize::deserialize(expect_field(obj, "topics", "WordTopic")?)?;
+        let data = Vec::<T>::deserialize(expect_field(obj, "data", "WordTopic")?)?;
+        if words.checked_mul(topics) != Some(data.len()) {
+            return Err(serde::Error::msg(format!(
+                "WordTopic: {} entries for {words} words × {topics} topics",
+                data.len()
+            )));
+        }
+        Ok(WordTopic { words, topics, data })
+    }
+}
+
+/// One fold-in Gibbs sweep over `doc` against a frozen φ: each token's
+/// topic `z[i]` is redrawn with weights `(n_dk + α_t) · φ[w][t]`, where
+/// `alpha(t)` is topic `t`'s prior mass. A word outside φ's vocabulary
+/// weighs every topic 0, so its draw is uniform.
+pub(crate) fn fold_in_sweep(
+    phi: &WordTopic<f32>,
+    alpha: impl Fn(usize) -> f64,
+    doc: &[TermId],
+    z: &mut [usize],
+    n_dk: &mut [u32],
+    weights: &mut [f64],
+    rng: &mut StdRng,
+) {
+    for (&w, zi) in doc.iter().zip(z.iter_mut()) {
+        n_dk[*zi] -= 1;
+        match phi.get(w as usize) {
+            Some(row) => {
+                for (t, ((wt, &c), &p)) in weights.iter_mut().zip(&*n_dk).zip(row).enumerate() {
+                    *wt = (c as f64 + alpha(t)) * p as f64;
+                }
+            }
+            None => weights.fill(0.0),
+        }
+        *zi = sample_discrete(rng, weights);
+        n_dk[*zi] += 1;
+    }
 }
 
 /// Sample an index from unnormalized non-negative weights.
@@ -142,6 +252,29 @@ mod tests {
     fn uniform_sums_to_one() {
         let u = uniform(7);
         assert!((u.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn word_topic_rows_are_word_major() {
+        let mut m = WordTopic::<u32>::new(3, 2);
+        m.row_mut(1)[0] = 5;
+        m.row_mut(2)[1] = 7;
+        assert_eq!(m.row(1), &[5, 0]);
+        assert_eq!(m.get(2), Some(&[0, 7][..]));
+        assert_eq!(m.get(3), None);
+        assert_eq!(m.topic(0).collect::<Vec<_>>(), vec![0, 5, 0]);
+        assert_eq!(m.topic(1).collect::<Vec<_>>(), vec![0, 0, 7]);
+    }
+
+    #[test]
+    fn word_topic_serde_rejects_a_ragged_matrix() {
+        let mut m = WordTopic::<f32>::new(2, 3);
+        m.row_mut(1)[2] = 0.25;
+        let json = serde_json::to_string(&m).expect("serializes");
+        let back: WordTopic<f32> = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, m);
+        let ragged = json.replace("\"words\":2", "\"words\":3");
+        assert!(serde_json::from_str::<WordTopic<f32>>(&ragged).is_err());
     }
 
     #[test]

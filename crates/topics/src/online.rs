@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use pmr_text::vocab::TermId;
 
-use crate::model::{normalize, sample_discrete, uniform};
+use crate::model::{fold_in_sweep, normalize, uniform, WordTopic};
 
 /// Seed-stream label for background training draws.
 const S_TRAIN: u64 = 1;
@@ -114,8 +114,8 @@ pub struct TopicBackground {
     alpha: f64,
     foldin_iterations: usize,
     seed: u64,
-    /// `phi[k][w] = P(w | z=k)`, row-stochastic over the full vocabulary.
-    phi: Vec<Vec<f32>>,
+    /// `P(w | z=k)` for every word `w` of the full vocabulary and topic `k`.
+    phi: WordTopic<f32>,
 }
 
 impl TopicBackground {
@@ -247,11 +247,13 @@ impl TopicBackground {
 
         // Dense, smoothed φ: every absent (topic, word) pair gets the β
         // floor, so fold-in never multiplies by a hard zero.
-        let mut phi: Vec<Vec<f32>> =
-            n_k.iter().map(|&nk| vec![(cfg.beta / (nk as f64 + vb)) as f32; v]).collect();
-        for (w, row) in n_kw.iter().enumerate() {
-            for &(t, c) in row {
-                phi[t as usize][w] = ((c as f64 + cfg.beta) / (n_k[t as usize] as f64 + vb)) as f32;
+        let floor: Vec<f32> = n_k.iter().map(|&nk| (cfg.beta / (nk as f64 + vb)) as f32).collect();
+        let mut phi = WordTopic::new(v, k);
+        for (w, counts) in n_kw.iter().enumerate() {
+            let row = phi.row_mut(w);
+            row.copy_from_slice(&floor);
+            for &(t, c) in counts {
+                row[t as usize] = ((c as f64 + cfg.beta) / (n_k[t as usize] as f64 + vb)) as f32;
             }
         }
         TopicBackground {
@@ -270,11 +272,11 @@ impl TopicBackground {
 
     /// Number of latent topics.
     pub fn topics(&self) -> usize {
-        self.phi.len()
+        self.phi.topics()
     }
 
-    /// `P(w | z=k)` rows.
-    pub fn phi(&self) -> &[Vec<f32>] {
+    /// `P(w | z=k)` for every word and topic.
+    pub fn phi(&self) -> &WordTopic<f32> {
         &self.phi
     }
 
@@ -286,7 +288,7 @@ impl TopicBackground {
     /// `(self, doc, doc_key)` no matter which thread computes it or in what
     /// order documents arrive.
     pub fn fold_in(&self, doc: &[TermId], doc_key: u64) -> Vec<f32> {
-        let k = self.phi.len();
+        let k = self.phi.topics();
         if doc.is_empty() || k == 0 {
             return uniform(k);
         }
@@ -304,17 +306,15 @@ impl TopicBackground {
         let mut weights = vec![0.0f64; k];
         for sweep in 1..=self.foldin_iterations.max(1) {
             let mut rng = StdRng::seed_from_u64(derive_seed(master, doc_key, sweep as u64));
-            for (i, &w) in doc.iter().enumerate() {
-                let old = z[i];
-                n_dk[old] -= 1;
-                for (t, wt) in weights.iter_mut().enumerate() {
-                    *wt = (n_dk[t] as f64 + self.alpha)
-                        * self.phi[t].get(w as usize).copied().unwrap_or(0.0) as f64;
-                }
-                let new = sample_discrete(&mut rng, &weights);
-                z[i] = new;
-                n_dk[new] += 1;
-            }
+            fold_in_sweep(
+                &self.phi,
+                |_| self.alpha,
+                doc,
+                &mut z,
+                &mut n_dk,
+                &mut weights,
+                &mut rng,
+            );
         }
         let denom = doc.len() as f64 + k as f64 * self.alpha;
         let mut theta: Vec<f32> =
@@ -442,8 +442,9 @@ mod tests {
         let docs = two_cluster_docs();
         let cfg = OnlineTopicConfig::paper(3, 20, 1);
         let bg = TopicBackground::train(&cfg, &slices(&docs), 8, 0);
-        for row in bg.phi() {
-            let s: f32 = row.iter().sum();
+        let phi = bg.phi();
+        for t in 0..phi.topics() {
+            let s: f32 = phi.topic(t).sum();
             assert!((s - 1.0).abs() < 1e-3, "phi row sums to {s}");
         }
     }

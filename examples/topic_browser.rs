@@ -10,7 +10,9 @@
 use pmr::core::{PreparedCorpus, SplitConfig};
 use pmr::sim::{generate_corpus, ScalePreset, SimConfig};
 use pmr::topics::pooling::{pool, PoolInput};
-use pmr::topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, PoolingScheme, TopicCorpus};
+use pmr::topics::{
+    BtmConfig, BtmModel, LdaConfig, LdaModel, PoolingScheme, TopicCorpus, WordTopic,
+};
 
 fn main() {
     let sim_config = SimConfig::preset(ScalePreset::Smoke, 11);
@@ -80,8 +82,9 @@ fn main() {
     }
 }
 
-fn print_topics(phi: &[Vec<f32>], corpus: &TopicCorpus) {
-    for (t, row) in phi.iter().enumerate() {
+fn print_topics(phi: &WordTopic<f32>, corpus: &TopicCorpus) {
+    for t in 0..phi.topics() {
+        let row: Vec<f32> = phi.topic(t).collect();
         let mut idx: Vec<usize> = (0..row.len()).collect();
         idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite"));
         let words: Vec<&str> = idx.iter().take(8).map(|&w| corpus.vocab.term(w as u32)).collect();
