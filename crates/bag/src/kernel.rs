@@ -95,30 +95,6 @@ impl ScoringKernel {
         }
     }
 
-    /// Score every document in `docs`, in order. Exactly `docs.iter().map(|d|
-    /// self.score(d))` — one entry point for batch consumers (the sweep's
-    /// exhaustive path, benches) so batching strategy changes land in one
-    /// place without touching call sites.
-    pub fn score_many(&self, docs: &[SparseVector]) -> Vec<f64> {
-        docs.iter().map(|doc| self.score(doc)).collect()
-    }
-
-    /// Score a shortlist into a pre-filled output slice: for each position
-    /// `p` in `positions`, set `out[p] = self.score(&docs[p])`; other slots
-    /// are left untouched. This is the rescore half of pruned retrieval —
-    /// the caller zero-fills `out` first, which is exact because a document
-    /// absent from the shortlist has no overlap with the model and every
-    /// bag similarity maps zero overlap to exactly `0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any position is out of bounds for `docs` or `out`.
-    pub fn score_positions(&self, docs: &[SparseVector], positions: &[u32], out: &mut [f64]) {
-        for &p in positions {
-            out[p as usize] = self.score(&docs[p as usize]);
-        }
-    }
-
     /// Cosine via dense lookups: the merge-join dot product visits the
     /// common dimensions in sorted order; so does this loop, because doc
     /// entries are sorted and absent model dimensions read 0.0 and are
@@ -258,29 +234,6 @@ mod tests {
         let model = v(&[(0, 1.0), (1, 1.0)]);
         let doc = v(&[(1, 1.0), (500, 3.0)]);
         assert_matches_reference(&model, &doc);
-    }
-
-    #[test]
-    fn batch_entry_points_match_single_scoring() {
-        let model = v(&[(0, 0.5), (2, 1.5), (7, 0.25)]);
-        let docs = [v(&[(2, 1.0), (3, 4.0)]), v(&[]), v(&[(0, -1.0), (7, 2.0)]), v(&[(11, 1.0)])];
-        for sim in ALL {
-            let kernel = ScoringKernel::new(sim, &model);
-            let singles: Vec<f64> = docs.iter().map(|d| kernel.score(d)).collect();
-            let batch = kernel.score_many(&docs);
-            assert_eq!(batch.len(), singles.len());
-            for (b, s) in batch.iter().zip(&singles) {
-                assert_eq!(b.to_bits(), s.to_bits());
-            }
-            // Shortlist rescore: positions 0 and 2 scored, the rest keep
-            // their zero fill (doc 3 has no overlap, doc 1 is empty).
-            let mut out = vec![0.0f64; docs.len()];
-            kernel.score_positions(&docs, &[0, 2], &mut out);
-            assert_eq!(out[0].to_bits(), singles[0].to_bits());
-            assert_eq!(out[2].to_bits(), singles[2].to_bits());
-            assert_eq!(out[1].to_bits(), 0.0f64.to_bits());
-            assert_eq!(out[3].to_bits(), 0.0f64.to_bits());
-        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! measured in-process; the smoke-sweep wall times are passed in, since
 //! the "before" number requires the pre-change build.
 
+use std::process::exit;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -74,6 +75,12 @@ fn sample_texts(n: usize) -> Vec<String> {
         .collect()
 }
 
+fn usage(problem: &str) -> ! {
+    eprintln!("bench_kernel: {problem}");
+    eprintln!("usage: bench_kernel [--out PATH] [--sweep-before-s S] [--sweep-after-s S]");
+    exit(2);
+}
+
 /// Mean ns per call of `op` over `iters` timed repetitions.
 fn time_ns<O, F: FnMut() -> O>(iters: u32, mut op: F) -> f64 {
     // One warm-up call keeps allocator and cache effects out of the first
@@ -93,16 +100,15 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} requires a value"));
+            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
+        let mut seconds = |flag: &str| {
+            value(flag).parse::<f64>().unwrap_or_else(|_| usage(&format!("{flag} wants seconds")))
+        };
         match arg.as_str() {
             "--out" => out = value("--out"),
-            "--sweep-before-s" => {
-                before_s = Some(value("--sweep-before-s").parse().expect("a number"))
-            }
-            "--sweep-after-s" => {
-                after_s = Some(value("--sweep-after-s").parse().expect("a number"))
-            }
-            other => panic!("unknown flag {other} (--out, --sweep-before-s, --sweep-after-s)"),
+            "--sweep-before-s" => before_s = Some(seconds("--sweep-before-s")),
+            "--sweep-after-s" => after_s = Some(seconds("--sweep-after-s")),
+            other => usage(&format!("unknown flag {other}")),
         }
     }
 

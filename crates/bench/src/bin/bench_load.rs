@@ -24,14 +24,12 @@
 //! * **herd** — operations arrive in synchronized waves (thundering
 //!   herd): a full second of work lands at one instant, then silence.
 //!
-//! The harness also measures raw **capacity** (all arrivals at t=0) for
-//! the work-stealing runtime vs. the thread-per-shard baseline — the
-//! elastic-serving speedup figure — and finishes with an in-process
-//! **live-reshard** leg: snapshot mid-storm under the source layout,
-//! restore under shrunken and grown layouts, and byte-diff the stitched
-//! recommendation logs. Every leg's rec log must equal the `Replay`
-//! reference; timing numbers are machine-specific diagnostics, excluded
-//! from determinism comparisons (see EXPERIMENTS.md).
+//! The harness also measures raw **capacity** (all arrivals at t=0) and
+//! finishes with an in-process **live-reshard** leg: snapshot mid-storm
+//! under the source layout, restore under shrunken and grown layouts, and
+//! byte-diff the stitched recommendation logs. Every leg's rec log must
+//! equal the `Replay` reference; timing numbers are machine-specific
+//! diagnostics, excluded from determinism comparisons (see EXPERIMENTS.md).
 
 use std::process::exit;
 use std::time::{Duration, Instant};
@@ -44,7 +42,7 @@ use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
     corpus_ops, precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay,
-    ReplayOptions, RuntimeOptions, Scheduler, ServeModel,
+    ReplayOptions, RuntimeOptions, ServeModel,
 };
 use pmr_sim::{generate_corpus, SimConfig};
 
@@ -74,7 +72,6 @@ impl LatencySummary {
 
 #[derive(Debug, Serialize)]
 struct CapacityLeg {
-    scheduler: &'static str,
     shards: usize,
     workers: usize,
     elapsed_s: f64,
@@ -102,7 +99,6 @@ struct ScenarioLeg {
 struct ReshardLayout {
     shards: usize,
     workers: usize,
-    scheduler: &'static str,
     identical: bool,
 }
 
@@ -130,10 +126,7 @@ struct LoadReport {
     stream_events: usize,
     ops: usize,
     queries: u64,
-    capacity: Vec<CapacityLeg>,
-    /// Work-steal ops/s over thread-per-shard ops/s at the same shard
-    /// count — the elastic-serving headline figure.
-    speedup: f64,
+    capacity: CapacityLeg,
     scenarios: Vec<ScenarioLeg>,
     /// Every leg's recommendation log byte-equals the `Replay` reference.
     rec_log_identical: bool,
@@ -226,20 +219,11 @@ fn main() {
     let ops = corpus_ops(&prepared.corpus, &features, k, query_every);
     assert!(!ops.is_empty(), "the corpus must produce at least one operation");
 
+    let runtime =
+        RuntimeOptions { shards, workers, queue_capacity: queue, ..RuntimeOptions::default() };
     // The determinism reference: an uninterrupted Replay under an
     // arbitrary layout. Every leg below must replicate its rec log.
-    let replay_options = ReplayOptions {
-        config,
-        runtime: RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            ..RuntimeOptions::default()
-        },
-        k,
-        query_every,
-        jobs: 1,
-    };
+    let replay_options = ReplayOptions { config, runtime, k, query_every, jobs: 1 };
     let reference = Replay::run(&prepared, replay_options);
     let reference_log = rec_log(&reference.recommendations).expect("log serializes");
     assert!(reference.queries > 0, "the stream must issue queries");
@@ -253,56 +237,38 @@ fn main() {
         }
     };
 
-    // Capacity: all arrivals at t=0, work-steal vs. thread-per-shard.
-    // Three repetitions, best kept — a capacity leg finishes in well under
-    // a second at smoke scale, so a single run is scheduler-noise-bound.
-    let mut capacity = Vec::new();
-    for (scheduler, leg_workers) in [(Scheduler::Threaded, shards), (Scheduler::WorkSteal, workers)]
-    {
-        let runtime = RuntimeOptions { shards, workers, queue_capacity: queue, scheduler };
-        let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
-        for _ in 0..3 {
-            let (elapsed, metrics, recs) = drive(config, runtime, &ops, None);
-            check_log(scheduler.name(), &recs);
-            if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
-                best = Some((elapsed, metrics));
-            }
+    // Capacity: all arrivals at t=0. Three repetitions, best kept — a
+    // capacity leg finishes in well under a second at smoke scale, so a
+    // single run is scheduler-noise-bound.
+    let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
+    for _ in 0..3 {
+        let (elapsed, metrics, recs) = drive(config, runtime, &ops, None);
+        check_log("capacity", &recs);
+        if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
+            best = Some((elapsed, metrics));
         }
-        let (elapsed, metrics) = best.expect("three repetitions ran");
-        let leg = CapacityLeg {
-            scheduler: scheduler.name(),
-            shards,
-            workers: leg_workers,
-            elapsed_s: elapsed.as_secs_f64(),
-            ops_per_sec: ops.len() as f64 / elapsed.as_secs_f64(),
-            backpressure: metrics.counter("serve.backpressure"),
-        };
-        eprintln!(
-            "capacity[{}]: {} ops in {:.2}s ({:.0} ops/s, backpressure {})",
-            leg.scheduler,
-            ops.len(),
-            leg.elapsed_s,
-            leg.ops_per_sec,
-            leg.backpressure
-        );
-        capacity.push(leg);
     }
-    let speedup = capacity[1].ops_per_sec / capacity[0].ops_per_sec;
+    let (elapsed, metrics) = best.expect("three repetitions ran");
+    let capacity = CapacityLeg {
+        shards,
+        workers,
+        elapsed_s: elapsed.as_secs_f64(),
+        ops_per_sec: ops.len() as f64 / elapsed.as_secs_f64(),
+        backpressure: metrics.counter("serve.backpressure"),
+    };
     eprintln!(
-        "speedup: worksteal({workers} workers) = {speedup:.2}x thread-per-shard ({shards} shards)"
+        "capacity: {} ops in {:.2}s ({:.0} ops/s, backpressure {})",
+        ops.len(),
+        capacity.elapsed_s,
+        capacity.ops_per_sec,
+        capacity.backpressure
     );
 
-    // Paced scenarios on the work-stealing runtime.
+    // Paced scenarios.
     let rate = ops.len() as f64 / paced_seconds.max(0.1);
     let mut scenarios = Vec::new();
     for scenario in ["poisson", "storm", "herd"] {
         let schedule = build_schedule(scenario, ops.len(), rate, burst, seed);
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            scheduler: Scheduler::WorkSteal,
-        };
         let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule));
         check_log(scenario, &recs);
         let buckets = backpressure_buckets(&metrics);
@@ -357,7 +323,6 @@ fn main() {
         ops: ops.len(),
         queries: reference.queries,
         capacity,
-        speedup,
         scenarios,
         rec_log_identical,
         reshard,
@@ -503,10 +468,10 @@ fn backpressure_buckets(metrics: &pmr_obs::MetricsSnapshot) -> Vec<u64> {
     buckets
 }
 
-/// The live-reshard leg: run the work-stealing source layout to just past
-/// the widest celebrity fan-out (mid-storm), snapshot through the JSONL
-/// wire format, and restore under shrunken, grown, and cross-scheduler
-/// layouts. The stitched head+tail rec log must byte-equal the reference.
+/// The live-reshard leg: run the source layout to just past the widest
+/// celebrity fan-out (mid-storm), snapshot through the JSONL wire format,
+/// and restore under shrunken and grown layouts. The stitched head+tail
+/// rec log must byte-equal the reference.
 fn reshard_leg(
     prepared: &PreparedCorpus,
     options: ReplayOptions,
@@ -532,14 +497,9 @@ fn reshard_leg(
 
     let source = options.runtime;
     let mut layouts = Vec::new();
-    for (shards, workers, scheduler) in [
-        (1usize, 1usize, Scheduler::WorkSteal),
-        (source.shards * 4, source.workers * 2, Scheduler::WorkSteal),
-        (4, 4, Scheduler::Threaded),
-    ] {
+    for (shards, workers) in [(1usize, 1usize), (source.shards * 4, source.workers * 2), (4, 4)] {
         let restored = EngineSnapshot::from_jsonl(&wire).expect("snapshot parses");
-        let runtime =
-            RuntimeOptions { shards, workers, queue_capacity: source.queue_capacity, scheduler };
+        let runtime = RuntimeOptions { shards, workers, ..source };
         let mut tail_run =
             Replay::resume(prepared, &restored, ReplayOptions { runtime, ..options })
                 .expect("configs match");
@@ -549,12 +509,11 @@ fn reshard_leg(
             head.recommendations.iter().chain(tail.recommendations.iter()).cloned().collect();
         let identical = rec_log(&stitched).expect("log serializes") == reference_log;
         eprintln!(
-            "reshard {} -> {shards} shards x {workers} workers ({}): {}",
+            "reshard {} -> {shards} shards x {workers} workers: {}",
             source.shards,
-            scheduler.name(),
             if identical { "byte-identical" } else { "DIVERGENT" }
         );
-        layouts.push(ReshardLayout { shards, workers, scheduler: scheduler.name(), identical });
+        layouts.push(ReshardLayout { shards, workers, identical });
     }
     let identical = layouts.iter().all(|l| l.identical);
     ReshardLeg {

@@ -41,7 +41,6 @@ struct ServeBaseline {
     model: String,
     shards: usize,
     workers: usize,
-    scheduler: &'static str,
     jobs: usize,
     k: usize,
     query_every: usize,
@@ -69,7 +68,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("bench_serve: {problem}");
     eprintln!(
         "usage: bench_serve [--scale smoke|default|full] [--seed N] [--model bag|graph|topic] \
-         [--shards N] [--workers N] [--scheduler threaded|worksteal] [--jobs N] [--k N] \
+         [--shards N] [--workers N] [--jobs N] [--k N] \
          [--query-every N] [--window N] [--queue N] [--refresh N] [--out PATH] [--rec-log PATH]"
     );
     exit(2);
@@ -81,7 +80,6 @@ fn main() {
     let mut model = String::from("bag");
     let mut shards: usize = 4;
     let mut workers: usize = RuntimeOptions::default().workers;
-    let mut scheduler = RuntimeOptions::default().scheduler;
     let mut jobs: usize = 1;
     let mut k: usize = 10;
     let mut query_every: usize = 25;
@@ -111,11 +109,6 @@ fn main() {
             "--workers" => {
                 workers =
                     value("--workers").parse().unwrap_or_else(|_| usage("--workers wants a number"))
-            }
-            "--scheduler" => {
-                let v = value("--scheduler");
-                scheduler = pmr_serve::Scheduler::parse(&v)
-                    .unwrap_or_else(|| usage(&format!("unknown scheduler {v:?}")));
             }
             "--jobs" => {
                 jobs = value("--jobs").parse().unwrap_or_else(|_| usage("--jobs wants a number"))
@@ -182,7 +175,12 @@ fn main() {
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     let options = ReplayOptions {
         config: EngineConfig { model: serve_model, window },
-        runtime: RuntimeOptions { shards, workers, queue_capacity: queue, scheduler },
+        runtime: RuntimeOptions {
+            shards,
+            workers,
+            queue_capacity: queue,
+            ..RuntimeOptions::default()
+        },
         k,
         query_every,
         jobs,
@@ -206,7 +204,6 @@ fn main() {
         model,
         shards,
         workers,
-        scheduler: scheduler.name(),
         jobs,
         k,
         query_every,

@@ -199,10 +199,6 @@ fn main() -> std::io::Result<()> {
     if let Some(section) = scale_section(&opts) {
         md.push_str(&section);
     }
-    // Candidate-retrieval baseline (only when bench_retrieval wrote one to out_dir).
-    if let Some(section) = retrieval_section(&opts) {
-        md.push_str(&section);
-    }
 
     std::fs::create_dir_all(&opts.out_dir)?;
     let path = opts.out_dir.join(format!("report_{}_{}.md", cache.scale, cache.seed));
@@ -360,16 +356,15 @@ fn serving_section(opts: &HarnessOptions) -> Option<String> {
     let _ = writeln!(
         md,
         "From `{}`: `pmr-serve` replaying scale `{}` seed {} with the `{}` \
-         model, {} logical shard(s) on the `{}` scheduler ({} worker \
-         thread(s)), {} feature job(s). Machine-specific — excluded from \
-         determinism comparisons (those byte-diff the `--rec-log`).\n",
+         model, {} logical shard(s) on {} worker thread(s), {} feature \
+         job(s). Machine-specific — excluded from determinism comparisons \
+         (those byte-diff the `--rec-log`).\n",
         path.display(),
         v.get("scale").and_then(Value::as_str).unwrap_or("?"),
         int(&v, "seed").unwrap_or(0),
         v.get("model").and_then(Value::as_str).unwrap_or("?"),
         int(&v, "shards").unwrap_or(0),
-        v.get("scheduler").and_then(Value::as_str).unwrap_or("threaded"),
-        int(&v, "workers").or_else(|| int(&v, "shards")).unwrap_or(0),
+        int(&v, "workers").unwrap_or(0),
         int(&v, "jobs").unwrap_or(0),
     );
     let _ =
@@ -498,27 +493,19 @@ fn load_section(opts: &HarnessOptions) -> Option<String> {
         int(&v, "stream_events").unwrap_or(0),
     );
 
-    let _ = writeln!(md, "Capacity (all arrivals at t=0, best of 3):\n");
-    let _ = writeln!(md, "| Scheduler | Shards | Workers | Ops/s | Backpressure |");
-    let _ = writeln!(md, "|---|---|---|---|---|");
-    for leg in v.get("capacity").and_then(Value::as_array).unwrap_or(&[]) {
+    if let Some(leg) = v.get("capacity") {
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {:.0} | {} |",
-            leg.get("scheduler").and_then(Value::as_str).unwrap_or("?"),
+            "Capacity (all arrivals at t=0, best of 3): {:.0} ops/s on {} shards × \
+             {} workers, backpressure {}.\n",
+            float(leg, "ops_per_sec").unwrap_or(0.0),
             int(leg, "shards").unwrap_or(0),
             int(leg, "workers").unwrap_or(0),
-            float(leg, "ops_per_sec").unwrap_or(0.0),
             int(leg, "backpressure").unwrap_or(0),
         );
     }
-    let _ = writeln!(
-        md,
-        "\nWork-steal over thread-per-shard: **{:.2}×**.\n",
-        float(&v, "speedup").unwrap_or(0.0)
-    );
 
-    let _ = writeln!(md, "Open-loop scenarios (work-steal runtime):\n");
+    let _ = writeln!(md, "Open-loop scenarios:\n");
     let _ = writeln!(
         md,
         "| Scenario | Offered ops/s | Ingest p50 | Ingest p99 | Ingest p99.9 \
@@ -554,14 +541,7 @@ fn load_section(opts: &HarnessOptions) -> Option<String> {
         .and_then(Value::as_array)
         .unwrap_or(&[])
         .iter()
-        .map(|l| {
-            format!(
-                "{}×{} {}",
-                int(l, "shards").unwrap_or(0),
-                int(l, "workers").unwrap_or(0),
-                l.get("scheduler").and_then(Value::as_str).unwrap_or("?"),
-            )
-        })
+        .map(|l| format!("{}×{}", int(l, "shards").unwrap_or(0), int(l, "workers").unwrap_or(0)))
         .collect();
     let _ = writeln!(
         md,
@@ -571,77 +551,6 @@ fn load_section(opts: &HarnessOptions) -> Option<String> {
         reshard.and_then(|r| int(r, "snapshot_at_event")).unwrap_or(0),
         layouts.join(", "),
         if reshard_identical { "byte-identical" } else { "**DIVERGENT**" },
-    );
-    Some(md)
-}
-
-/// The "### Candidate retrieval" section, rendered from the
-/// `BENCH_retrieval.json` that `bench_retrieval --out
-/// <out_dir>/BENCH_retrieval.json` wrote, when present. Speedups are
-/// machine-specific diagnostics; the correctness artifacts are the
-/// full-coverage byte-identity assertion (checked inside the binary) and
-/// recall@k, both reported here.
-fn retrieval_section(opts: &HarnessOptions) -> Option<String> {
-    let path = opts.out_dir.join("BENCH_retrieval.json");
-    let bytes = std::fs::read(&path).ok()?;
-    let v: Value = serde_json::from_slice(&bytes).ok()?;
-    let int = |field: &Value, key: &str| match field.get(key) {
-        Some(Value::Number(Number::PosInt(n))) => Some(*n),
-        _ => None,
-    };
-    let float = |field: &Value, key: &str| match field.get(key) {
-        Some(Value::Number(Number::Float(f))) => Some(*f),
-        Some(Value::Number(Number::PosInt(n))) => Some(*n as f64),
-        _ => None,
-    };
-
-    let mut md = String::new();
-    let _ = writeln!(md, "\n### Candidate retrieval — `bench_retrieval` baseline\n");
-    let _ = writeln!(
-        md,
-        "From `{}`: the impact-ordered inverted index with WAND/max-score \
-         pruning (shortlist {}) vs. exhaustive candidate scoring, scale `{}` \
-         seed {}, {} users over a {}-document pool ({} index terms). \
-         Timings are machine-specific and excluded from determinism \
-         comparisons; recall@{} and the full-coverage byte-identity check \
-         are the correctness artifacts.\n",
-        path.display(),
-        int(&v, "shortlist").unwrap_or(0),
-        v.get("scale").and_then(Value::as_str).unwrap_or("?"),
-        int(&v, "seed").unwrap_or(0),
-        int(&v, "users").unwrap_or(0),
-        int(&v, "pool_docs").unwrap_or(0),
-        int(&v, "index_terms").unwrap_or(0),
-        int(&v, "k").unwrap_or(0),
-    );
-    let _ = writeln!(md, "| Similarity | Exhaustive | WAND | Speedup | Recall mean | Recall min | Full-coverage identical |");
-    let _ = writeln!(md, "|---|---|---|---|---|---|---|");
-    let secs = |s: Option<f64>| {
-        s.map(|s| human(Duration::from_secs_f64(s))).unwrap_or_else(|| "—".to_owned())
-    };
-    for sim in v.get("per_similarity").and_then(Value::as_array).unwrap_or(&[]) {
-        let identical = matches!(sim.get("full_coverage_identical"), Some(Value::Bool(true)));
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {:.1}× | {:.3} | {:.3} | {} |",
-            sim.get("similarity").and_then(Value::as_str).unwrap_or("?"),
-            secs(float(sim, "exhaustive_s")),
-            secs(float(sim, "wand_s")),
-            float(sim, "speedup").unwrap_or(0.0),
-            float(sim, "recall_mean").unwrap_or(0.0),
-            float(sim, "recall_min").unwrap_or(0.0),
-            if identical { "yes" } else { "**NO**" },
-        );
-    }
-    let _ = writeln!(
-        md,
-        "\nAggregate speedup {:.1}× (one shared index query per model, \
-         amortized across similarities); {} candidates visited, {} pruned, \
-         {} rescored.",
-        float(&v, "aggregate_speedup").unwrap_or(0.0),
-        int(&v, "candidates").unwrap_or(0),
-        int(&v, "pruned").unwrap_or(0),
-        int(&v, "rescored").unwrap_or(0),
     );
     Some(md)
 }

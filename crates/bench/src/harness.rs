@@ -9,7 +9,6 @@ use pmr_core::eval::MapSummary;
 use pmr_core::executor::{self, Progress};
 use pmr_core::experiment::{ConfigResult, ExperimentRunner, RunnerOptions, SweepResult};
 use pmr_core::recommender::ScoringOptions;
-use pmr_core::retrieval::RetrievalMode;
 use pmr_core::split::SplitConfig;
 use pmr_core::{
     ConfigGrid, ModelFamily, PmrError, PmrResult, PreparedCorpus, RepresentationSource,
@@ -93,11 +92,6 @@ pub struct HarnessOptions {
     pub journal: Option<PathBuf>,
     /// Metrics summary path (`--metrics-out`); `None` disables the summary.
     pub metrics_out: Option<PathBuf>,
-    /// Candidate retrieval mode for the bag/graph scoring arms
-    /// (`--retrieval`). Both modes produce byte-identical sweep output (the
-    /// sweep's WAND path runs at full coverage); `wand` skips work that
-    /// provably cannot change a score.
-    pub retrieval: RetrievalMode,
 }
 
 impl Default for HarnessOptions {
@@ -113,7 +107,6 @@ impl Default for HarnessOptions {
             jobs: executor::default_jobs(),
             journal: None,
             metrics_out: None,
-            retrieval: RetrievalMode::Exhaustive,
         }
     }
 }
@@ -185,10 +178,6 @@ impl HarnessOptions {
                 "--metrics-out" => {
                     opts.metrics_out = Some(PathBuf::from(value("--metrics-out")));
                 }
-                "--retrieval" => {
-                    opts.retrieval =
-                        value("--retrieval").parse().unwrap_or_else(|e: String| usage(&e));
-                }
                 "--help" | "-h" => usage("help requested"),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -216,7 +205,7 @@ impl HarnessOptions {
                 iteration_scale: self.iteration_scale,
                 infer_iterations: 8,
                 seed: self.seed,
-                retrieval: self.retrieval,
+                ..ScoringOptions::default()
             },
             ran_iterations: 1_000,
         }
@@ -319,16 +308,12 @@ fn usage(msg: &str) -> ! {
          \x20      [--families TN,CN,...] [--sources all|figures|R,T,...]\n\
          \x20      [--out DIR] [--group all|is|bu|ip] [--jobs N]\n\
          \x20      [--journal PATH] [--metrics-out PATH]\n\
-         \x20      [--retrieval exhaustive|wand]\n\
          \n\
          --jobs N fans the sweep across N worker threads (default: all\n\
          cores); results are identical for every N.\n\
          --journal PATH writes a JSONL event journal (diagnostic only;\n\
          excluded from determinism comparisons). --metrics-out PATH writes\n\
-         a metrics summary (counters, gauges, duration histograms).\n\
-         --retrieval wand shortlists candidates through the impact-ordered\n\
-         index before exact rescoring; sweep output is byte-identical to\n\
-         the exhaustive default."
+         a metrics summary (counters, gauges, duration histograms)."
     );
     std::process::exit(2);
 }
@@ -369,12 +354,6 @@ pub struct SweepCache {
     pub families: Vec<String>,
     /// The effective representation sources, in sweep order.
     pub sources: Vec<String>,
-    /// Retrieval mode the sweep ran with. Both modes produce byte-identical
-    /// measurements, but the timing fields are not comparable across modes,
-    /// so a cache never stands in for the other mode's run. Caches that
-    /// predate the field fail to parse and are discarded, like any other
-    /// pre-metadata cache.
-    pub retrieval: String,
     /// Group name → member user ids (only users with a valid split).
     pub groups: BTreeMap<String, Vec<u32>>,
     /// Group name → (CHR MAP, RAN MAP).
@@ -489,13 +468,6 @@ impl SweepCache {
                 sources.join(",")
             ));
         }
-        if self.retrieval != opts.retrieval.name() {
-            return Err(format!(
-                "retrieval {} vs requested {}",
-                self.retrieval,
-                opts.retrieval.name()
-            ));
-        }
         Ok(())
     }
 
@@ -565,7 +537,6 @@ impl SweepCache {
             iteration_scale: opts.iteration_scale,
             families: opts.family_filter_names(),
             sources: opts.effective_source_names(),
-            retrieval: opts.retrieval.name().to_owned(),
             groups,
             baselines,
             sweep,
@@ -699,14 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_retrieval_flag() {
-        let opts = HarnessOptions::parse(["--retrieval", "wand"].iter().map(|s| s.to_string()));
-        assert_eq!(opts.retrieval, RetrievalMode::Wand);
-        let opts = HarnessOptions::parse(std::iter::empty());
-        assert_eq!(opts.retrieval, RetrievalMode::Exhaustive, "exhaustive stays the default");
-    }
-
-    #[test]
     fn iter_scale_override_sticks() {
         let opts = HarnessOptions::parse(
             ["--iter-scale", "0.5", "--scale", "smoke"].iter().map(|s| s.to_string()),
@@ -759,30 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn wand_sweep_is_byte_identical_to_exhaustive() {
-        // The sweep-level contract behind the CI retrieval-smoke job: the
-        // WAND path runs at full coverage, so measurements (timings aside)
-        // are byte-identical to the exhaustive reference — for the graph
-        // family (TNG, overlap-gated comparisons) and the bag family (TN,
-        // index + shortlist + kernel rescore) alike.
-        for family in [ModelFamily::TNG, ModelFamily::TN] {
-            let base = HarnessOptions { families: vec![family], ..tiny_opts() };
-            let exhaustive = SweepCache::run(&base).expect("runs");
-            let wand =
-                SweepCache::run(&HarnessOptions { retrieval: RetrievalMode::Wand, ..base.clone() })
-                    .expect("runs");
-            assert_eq!(
-                json_sans_timings(&exhaustive.sweep),
-                json_sans_timings(&wand.sweep),
-                "{} measurements must not depend on the retrieval mode",
-                family.name()
-            );
-            assert_eq!(exhaustive.baselines, wand.baselines);
-            assert_eq!(wand.retrieval, "wand");
-        }
-    }
-
-    #[test]
     fn sweep_json_is_identical_for_any_job_count() {
         let sequential = SweepCache::run(&HarnessOptions { jobs: 1, ..tiny_opts() }).expect("runs");
         let parallel = SweepCache::run(&HarnessOptions { jobs: 4, ..tiny_opts() }).expect("runs");
@@ -814,10 +753,6 @@ mod tests {
         // Different iteration scale: rejected.
         let coarser = HarnessOptions { iteration_scale: 0.5, ..filtered.clone() };
         assert!(SweepCache::load_if_valid(&coarser).is_none());
-        // Different retrieval mode: rejected (timings aren't comparable).
-        let wand = HarnessOptions { retrieval: RetrievalMode::Wand, ..filtered.clone() };
-        assert!(cache.matches(&wand).is_err());
-        assert!(SweepCache::load_if_valid(&wand).is_none());
         // A pre-metadata cache (no `families` field) fails to parse and is
         // discarded rather than trusted.
         let json = serde_json::to_string(&cache).unwrap();

@@ -13,7 +13,6 @@
 //! | `table6_sources` | Table 6 — min/mean/max MAP of all 13 sources × 4 user types |
 //! | `fig7_time` | Figure 7 — TTime and ETime per model |
 //! | `table7_best_configs` | Table 7 — the best configuration per model × source |
-//! | `bench_retrieval` | `BENCH_retrieval.json` — impact-ordered index (WAND) speedup and recall@k vs. exhaustive scoring; a diagnostic baseline, not a paper figure |
 //!
 //! A sweep measures each `(configuration, source)` pair once over all 60
 //! users and stores per-user APs; group-level MAPs (All/IS/BU/IP) are

@@ -37,7 +37,6 @@ pub mod online;
 pub mod prepare;
 pub mod ranking;
 pub mod recommender;
-pub mod retrieval;
 pub mod significance;
 pub mod source;
 pub mod split;
@@ -52,9 +51,8 @@ pub use experiment::{ExperimentRunner, RunnerOptions, SweepResult};
 pub use features::{FeatureCache, GramKind, GramTable};
 pub use online::{OnlineBagModel, OnlineGraphModel, OnlineProfile};
 pub use prepare::PreparedCorpus;
-pub use ranking::{rank_cmp, ThresholdHeap};
-pub use recommender::score_configuration;
-pub use retrieval::{Budget, ImpactIndex, RetrievalMode};
+pub use ranking::rank_cmp;
+pub use recommender::{score_configuration, RetrievalMode};
 pub use significance::{paired_randomization_test, wilcoxon_signed_rank, PairedComparison};
 pub use source::RepresentationSource;
 pub use split::{SplitConfig, TrainTestSplit, UserSplit};

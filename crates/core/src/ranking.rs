@@ -1,13 +1,10 @@
 //! The repo-wide top-k tie-break contract.
 //!
-//! Every ranking consumer — the batch evaluator's AP sort, the serving
-//! engine's per-query top-k, and the retrieval layer's threshold heap —
-//! orders scored items by **score descending, tie key ascending**, with
-//! [`f64::total_cmp`] keeping the order total even for (impossible in
-//! practice) NaNs. Centralizing the comparator here means heap order,
-//! sort order and merge order can never drift apart: a pruned-with-rescore
-//! ranking is byte-identical to an exhaustive one precisely because both
-//! sides sort under this one function.
+//! Every ranking consumer — the batch evaluator's AP sort and the serving
+//! engine's per-query top-k — orders scored items by **score descending,
+//! tie key ascending**, with [`f64::total_cmp`] keeping the order total
+//! even for (impossible in practice) NaNs. Centralizing the comparator here
+//! means sort order and merge order can never drift apart.
 //!
 //! The tie key is caller-chosen: the serving engine uses the raw tweet id
 //! (its public contract — "ties broken by ascending tweet id"), while
@@ -22,99 +19,6 @@ use std::cmp::Ordering;
 /// ranks *before* `b`.
 pub fn rank_cmp<K: Ord>(a_score: f64, a_key: &K, b_score: f64, b_key: &K) -> Ordering {
     b_score.total_cmp(&a_score).then_with(|| a_key.cmp(b_key))
-}
-
-/// One scored entry of a [`ThresholdHeap`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Entry<K: Ord> {
-    score: f64,
-    key: K,
-}
-
-impl<K: Ord> Eq for Entry<K> {}
-
-impl<K: Ord> PartialOrd for Entry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord> Ord for Entry<K> {
-    /// `Greater` = ranks later under [`rank_cmp`], so the max-heap's root
-    /// is always the *worst* kept entry — the pruning threshold.
-    fn cmp(&self, other: &Self) -> Ordering {
-        rank_cmp(self.score, &self.key, other.score, &other.key)
-    }
-}
-
-/// A bounded best-`k` collector under the shared ranking order, exposing
-/// the worst kept score as the WAND/max-score pruning threshold.
-///
-/// Order-insensitive by construction: offering the same `(score, key)`
-/// multiset in any permutation yields the same kept set and the same
-/// [`ThresholdHeap::into_sorted`] output (the permutation-invariance test
-/// below pins this), so heap internals can never leak into results.
-#[derive(Debug, Clone)]
-pub struct ThresholdHeap<K: Ord> {
-    capacity: usize,
-    heap: std::collections::BinaryHeap<Entry<K>>,
-}
-
-impl<K: Ord> ThresholdHeap<K> {
-    /// An empty heap keeping at most `capacity` entries.
-    pub fn new(capacity: usize) -> ThresholdHeap<K> {
-        ThresholdHeap { capacity, heap: std::collections::BinaryHeap::new() }
-    }
-
-    /// Number of kept entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing has been kept yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The score an entry must *strictly* beat (under [`rank_cmp`], i.e.
-    /// possibly only on the tie key) to enter a full heap; `None` while
-    /// the heap still has room, so nothing may be pruned yet.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() < self.capacity {
-            None
-        } else {
-            self.heap.peek().map(|e| e.score)
-        }
-    }
-
-    /// Offer an entry; returns whether it was kept. With the heap full,
-    /// the offered entry replaces the current worst iff it ranks strictly
-    /// before it under [`rank_cmp`].
-    pub fn offer(&mut self, score: f64, key: K) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.heap.len() < self.capacity {
-            self.heap.push(Entry { score, key });
-            return true;
-        }
-        // pmr-lint: allow(lib-unwrap): capacity > 0 and the heap is full here, so a root exists
-        let worst = self.heap.peek().expect("full heap has a root");
-        if rank_cmp(score, &key, worst.score, &worst.key) == Ordering::Less {
-            self.heap.pop();
-            self.heap.push(Entry { score, key });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The kept entries, best first under [`rank_cmp`].
-    pub fn into_sorted(self) -> Vec<(f64, K)> {
-        let mut entries: Vec<Entry<K>> = self.heap.into_vec();
-        entries.sort();
-        entries.into_iter().map(|e| (e.score, e.key)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,103 +44,5 @@ mod tests {
         assert_eq!(rank_cmp(1.0, &1u32, f64::NAN, &0u32), Ordering::Greater);
         assert_eq!(rank_cmp(-f64::NAN, &0u32, 1.0, &1u32), Ordering::Greater);
         assert_eq!(rank_cmp(f64::NAN, &0u32, f64::NAN, &0u32), Ordering::Equal);
-    }
-
-    #[test]
-    fn heap_keeps_the_best_k() {
-        let mut heap = ThresholdHeap::new(2);
-        assert!(heap.threshold().is_none());
-        heap.offer(1.0, 10u32);
-        heap.offer(3.0, 20);
-        assert_eq!(heap.threshold(), Some(1.0));
-        assert!(heap.offer(2.0, 30), "2.0 beats the worst kept 1.0");
-        assert!(!heap.offer(0.5, 40), "0.5 does not");
-        assert_eq!(heap.into_sorted(), vec![(3.0, 20), (2.0, 30)]);
-    }
-
-    #[test]
-    fn heap_breaks_score_ties_by_key() {
-        let mut heap = ThresholdHeap::new(1);
-        heap.offer(1.0, 9u32);
-        assert!(heap.offer(1.0, 3), "equal score, smaller key ranks before");
-        assert!(!heap.offer(1.0, 5), "equal score, larger key than kept 3");
-        assert_eq!(heap.into_sorted(), vec![(1.0, 3)]);
-    }
-
-    #[test]
-    fn zero_capacity_keeps_nothing() {
-        let mut heap = ThresholdHeap::new(0);
-        assert!(!heap.offer(5.0, 1u32));
-        assert!(heap.is_empty());
-        assert!(heap.into_sorted().is_empty());
-    }
-
-    #[test]
-    fn heap_order_is_permutation_invariant() {
-        // The regression the tie-break unification exists for: feeding the
-        // same (score, key) multiset in any order must produce the same
-        // kept set in the same output order — heap internals must never
-        // leak into results. Equal scores included.
-        let base: Vec<(f64, u32)> =
-            vec![(0.7, 4), (0.5, 2), (0.5, 9), (0.5, 1), (0.9, 8), (0.1, 0), (0.5, 6), (0.9, 3)];
-        for k in [1, 3, 5, base.len()] {
-            let reference = {
-                let mut h = ThresholdHeap::new(k);
-                for &(s, key) in &base {
-                    h.offer(s, key);
-                }
-                h.into_sorted()
-            };
-            // Also pin against a full sort under the shared comparator.
-            let mut sorted = base.clone();
-            sorted.sort_by(|a, b| rank_cmp(a.0, &a.1, b.0, &b.1));
-            sorted.truncate(k);
-            assert_eq!(reference, sorted, "heap(k={k}) must equal sort-then-truncate");
-            for rotation in 0..base.len() {
-                let mut permuted = base.clone();
-                permuted.rotate_left(rotation);
-                let last = permuted.len() - 1;
-                permuted.swap(0, last);
-                let mut h = ThresholdHeap::new(k);
-                for &(s, key) in &permuted {
-                    h.offer(s, key);
-                }
-                assert_eq!(h.into_sorted(), reference, "k={k} rotation={rotation}");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// For any multiset of (score, key) pairs and any capacity, the
-        /// heap equals sort-under-rank_cmp + truncate, independent of
-        /// offer order.
-        #[test]
-        fn heap_equals_sorted_truncation(
-            items in proptest::collection::vec((-10.0f64..10.0, 0u32..50), 0..40),
-            k in 0usize..12,
-            rotation in 0usize..40,
-        ) {
-            let mut expected = items.clone();
-            expected.sort_by(|a, b| rank_cmp(a.0, &a.1, b.0, &b.1));
-            // Duplicate (score, key) pairs make the truncation ambiguous
-            // only in which *copy* survives — values are equal either way.
-            expected.truncate(k);
-            let mut permuted = items.clone();
-            if !permuted.is_empty() {
-                let r = rotation % permuted.len();
-                permuted.rotate_left(r);
-            }
-            let mut heap = ThresholdHeap::new(k);
-            for &(s, key) in &permuted {
-                heap.offer(s, key);
-            }
-            prop_assert_eq!(heap.into_sorted(), expected);
-        }
     }
 }

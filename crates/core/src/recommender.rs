@@ -37,7 +37,6 @@ use crate::config::{AggKind, ModelConfiguration};
 use crate::eval::{average_precision, ScoredDoc};
 use crate::features::GramKind;
 use crate::prepare::PreparedCorpus;
-use crate::retrieval::{retrieve_and_rescore, Budget, ImpactIndex, RetrievalMode};
 use crate::source::RepresentationSource;
 
 /// Per-user outcome of one scored configuration.
@@ -70,11 +69,20 @@ pub struct ScoringOptions {
     pub infer_iterations: usize,
     /// Base seed for all stochastic steps.
     pub seed: u64,
-    /// Candidate retrieval for the bag and graph scoring arms. The sweep's
-    /// WAND path runs at full coverage (every overlapping candidate is
-    /// rescored exactly), so either mode produces byte-identical rankings;
-    /// `wand` only skips work that provably cannot change a score.
+    /// Selects nothing (see [`RetrievalMode`]); the next change to
+    /// `pmr_benchmark` drops it.
     pub retrieval: RetrievalMode,
+}
+
+/// A one-value placeholder: the bag and graph arms score every test
+/// document exactly, so this selects nothing. It stays only because
+/// `pmr_benchmark`'s sweep workloads name it; the next change to
+/// `pmr_benchmark` drops it together with [`ScoringOptions::retrieval`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum RetrievalMode {
+    /// Score every candidate exactly.
+    #[default]
+    Exhaustive,
 }
 
 impl Default for ScoringOptions {
@@ -153,34 +161,11 @@ pub fn score_configuration(
                 };
                 let train_time = t0.elapsed();
                 let t1 = Instant::now();
-                let scores: Vec<f64> = match opts.retrieval {
-                    RetrievalMode::Exhaustive => {
-                        let _timer = pmr_obs::timer("kernel.score");
-                        test.iter()
-                            .map(|&id| kernel.score(&vectorizer.transform(table.doc(id))))
-                            .collect()
-                    }
-                    RetrievalMode::Wand => {
-                        // Shortlist at full coverage, then rescore with the
-                        // same kernel: byte-identical to the exhaustive arm,
-                        // skipping only candidates that provably score 0.0.
-                        let pool: Vec<SparseVector> = {
-                            let _t = pmr_obs::timer("bag.transform");
-                            test.iter().map(|&id| vectorizer.transform(table.doc(id))).collect()
-                        };
-                        let index = ImpactIndex::build(&pool);
-                        let keys: Vec<u32> =
-                            test.iter().map(|&id| crate::eval::tie_break_key(id.0)).collect();
-                        let _timer = pmr_obs::timer("kernel.score");
-                        retrieve_and_rescore(
-                            &index,
-                            &kernel,
-                            &user_model,
-                            &pool,
-                            &keys,
-                            Budget::Full,
-                        )
-                    }
+                let scores: Vec<f64> = {
+                    let _timer = pmr_obs::timer("kernel.score");
+                    test.iter()
+                        .map(|&id| kernel.score(&vectorizer.transform(table.doc(id))))
+                        .collect()
                 };
                 (scores, train_time, t1.elapsed())
             })
@@ -200,35 +185,16 @@ pub fn score_configuration(
                         table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
                     user_model.merge(&NGramGraph::from_ids(&ids, *n));
                 }
-                // Vertices below this id are the train union's grams.
-                let train_vertices = vertices.len() as TermId;
                 let train_time = t0.elapsed();
                 let t1 = Instant::now();
-                let gated = opts.retrieval == RetrievalMode::Wand;
-                let mut pruned = 0u64;
                 let scores: Vec<f64> = test
                     .iter()
                     .map(|&id| {
-                        // Every test document is mapped, gated or not, so
-                        // later documents get the same vertex ids in both
-                        // modes.
                         let ids: Vec<TermId> =
                             table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
-                        // WAND-mode overlap gate: a test document sharing
-                        // no gram with the train union shares no graph
-                        // edge either, so its comparison is exactly 0.0.
-                        if gated && ids.iter().all(|&v| v >= train_vertices) {
-                            pruned += 1;
-                            0.0
-                        } else {
-                            similarity.compare(&user_model, &NGramGraph::from_ids(&ids, *n))
-                        }
+                        similarity.compare(&user_model, &NGramGraph::from_ids(&ids, *n))
                     })
                     .collect();
-                if gated {
-                    pmr_obs::counter_add("retrieval.candidates", test.len() as u64 - pruned);
-                    pmr_obs::counter_add("retrieval.pruned", pruned);
-                }
                 (scores, train_time, t1.elapsed())
             })
         }

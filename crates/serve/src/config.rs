@@ -138,39 +138,16 @@ pub struct EngineConfig {
     pub window: usize,
 }
 
-/// How shard message processing is scheduled onto OS threads. Mechanical:
-/// both schedulers drain every shard's FIFO in order, so they produce
-/// byte-identical recommendation logs (the determinism suite pins this).
+/// A one-value placeholder: the work-stealing runtime is the only
+/// scheduler, so this selects nothing. It stays only because
+/// `pmr_benchmark`'s serving workloads build [`RuntimeOptions`] with a
+/// `..RuntimeOptions::default()` update that would be needless without a
+/// field left to fill; the next change to `pmr_benchmark` drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// One OS thread per shard behind a blocking FIFO. Simple, but thread
-    /// count is welded to shard count, so thousands of logical shards mean
-    /// thousands of threads. Kept as the measurable baseline.
-    Threaded,
     /// `workers` OS threads multiplex all logical shards through per-shard
-    /// mailboxes and a shared run queue; an idle worker steals whichever
-    /// runnable shard is oldest. Shard count becomes a pure partitioning
-    /// knob, decoupled from thread count.
+    /// mailboxes and a shared run queue.
     WorkSteal,
-}
-
-impl Scheduler {
-    /// Parse a CLI name (`threaded` / `worksteal`).
-    pub fn parse(s: &str) -> Option<Scheduler> {
-        match s {
-            "threaded" => Some(Scheduler::Threaded),
-            "worksteal" | "work-steal" | "ws" => Some(Scheduler::WorkSteal),
-            _ => None,
-        }
-    }
-
-    /// Short human-readable name for logs and benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Threaded => "threaded",
-            Scheduler::WorkSteal => "worksteal",
-        }
-    }
 }
 
 /// Mechanical sizing knobs. Changing these must never change a
@@ -179,18 +156,17 @@ impl Scheduler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Number of *logical* shards; users are partitioned `user_id % shards`.
-    /// Under [`Scheduler::WorkSteal`] this is independent of thread count,
-    /// so it can comfortably be in the thousands.
+    /// Independent of thread count, so it can comfortably be in the
+    /// thousands.
     pub shards: usize,
-    /// OS worker threads under [`Scheduler::WorkSteal`] (ignored by
-    /// [`Scheduler::Threaded`], which always runs one thread per shard).
+    /// OS worker threads that multiplex the logical shards.
     pub workers: usize,
     /// Bounded per-shard ingest queue capacity. When a queue fills, the
     /// ingest thread blocks (after bumping the `serve.backpressure`
     /// counter) rather than buffering unboundedly.
     pub queue_capacity: usize,
-    /// How shards are scheduled onto OS threads. Mechanical: both
-    /// schedulers must emit byte-identical recommendations.
+    /// Selects nothing (see [`Scheduler`]); the next change to
+    /// `pmr_benchmark` drops it.
     pub scheduler: Scheduler,
 }
 
@@ -300,15 +276,5 @@ mod tests {
         assert_eq!(r.shards, 1);
         assert_eq!(r.workers, 1);
         assert_eq!(r.queue_capacity, 1);
-        assert_eq!(r.scheduler, Scheduler::WorkSteal, "normalization keeps the scheduler");
-    }
-
-    #[test]
-    fn scheduler_names_round_trip() {
-        for s in [Scheduler::Threaded, Scheduler::WorkSteal] {
-            assert_eq!(Scheduler::parse(s.name()), Some(s));
-        }
-        assert_eq!(Scheduler::parse("ws"), Some(Scheduler::WorkSteal));
-        assert_eq!(Scheduler::parse("fibers"), None);
     }
 }

@@ -2,9 +2,9 @@
 //! and snapshot orchestration.
 //!
 //! The engine is single-writer: one thread (the replay driver, or any
-//! caller) pushes candidates, observations and queries; the scheduler
-//! behind [`crate::runtime::ShardRuntime`] applies them on its worker
-//! threads. Ingest queues are **bounded** — when a shard falls behind, the
+//! caller) pushes candidates, observations and queries; the
+//! work-stealing [`crate::runtime::ShardRuntime`] applies them on its
+//! worker threads. Ingest queues are **bounded** — when a shard falls behind, the
 //! writer blocks on that shard's queue after bumping the
 //! `serve.backpressure` counters, so memory stays flat under any load
 //! imbalance instead of buffering the whole stream.
@@ -22,7 +22,7 @@ use pmr_core::{PmrError, PmrResult};
 use pmr_sim::{Timestamp, TweetId, UserId};
 use pmr_topics::TopicBackground;
 
-use crate::config::{EngineConfig, RuntimeOptions, Scheduler};
+use crate::config::{EngineConfig, RuntimeOptions};
 use crate::runtime::ShardRuntime;
 use crate::shard::{Recommendation, ShardMsg, ShardReply, TweetFeatures, UserState};
 use crate::snapshot::{EngineSnapshot, SnapshotHeader, SNAPSHOT_VERSION};
@@ -88,13 +88,7 @@ impl Engine {
     ) -> Engine {
         let runtime = runtime.normalized();
         pmr_obs::gauge_set("serve.shards", runtime.shards as f64);
-        pmr_obs::gauge_set(
-            "serve.workers",
-            match runtime.scheduler {
-                Scheduler::Threaded => runtime.shards,
-                Scheduler::WorkSteal => runtime.workers,
-            } as f64,
-        );
+        pmr_obs::gauge_set("serve.workers", runtime.workers as f64);
         pmr_obs::gauge_set("serve.queue_capacity", runtime.queue_capacity as f64);
         let mut partitions: Vec<BTreeMap<UserId, UserState>> =
             (0..runtime.shards).map(|_| BTreeMap::new()).collect();
@@ -446,41 +440,47 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent() {
-        for scheduler in [Scheduler::Threaded, Scheduler::WorkSteal] {
-            let mut engine = Engine::start(
-                bag_config(8),
-                RuntimeOptions { shards: 3, workers: 2, queue_capacity: 4, scheduler },
-            );
-            let user = UserId(1);
-            let features = unit(0);
-            engine.observe(user, &features);
-            engine.post_candidate(user, TweetId(7), 5, &features);
-            engine.query(user, 3, 10);
-            engine.shutdown();
-            engine.shutdown(); // double shutdown must be a no-op
-            let recs = engine.finish(); // finish after shutdown is fine too
-            assert_eq!(recs.len(), 1, "{} loses answers on shutdown", scheduler.name());
-            assert_eq!(recs[0].items.len(), 1);
-        }
+        let mut engine = Engine::start(
+            bag_config(8),
+            RuntimeOptions {
+                shards: 3,
+                workers: 2,
+                queue_capacity: 4,
+                ..RuntimeOptions::default()
+            },
+        );
+        let user = UserId(1);
+        let features = unit(0);
+        engine.observe(user, &features);
+        engine.post_candidate(user, TweetId(7), 5, &features);
+        engine.query(user, 3, 10);
+        engine.shutdown();
+        engine.shutdown(); // double shutdown must be a no-op
+        let recs = engine.finish(); // finish after shutdown is fine too
+        assert_eq!(recs.len(), 1, "shutdown loses answers");
+        assert_eq!(recs[0].items.len(), 1);
     }
 
     #[test]
     fn shutdown_after_abort_joins_without_panicking() {
-        for scheduler in [Scheduler::Threaded, Scheduler::WorkSteal] {
-            let mut engine = Engine::start(
-                bag_config(4),
-                RuntimeOptions { shards: 2, workers: 2, queue_capacity: 4, scheduler },
-            );
-            engine.observe(UserId(0), &unit(0));
-            engine.observe(UserId(1), &unit(0));
-            engine.post(0, ShardMsg::Poison);
-            assert!(engine.snapshot(2).is_err(), "{}: barrier must fail", scheduler.name());
-            // The regression: shutdown (and the drop that follows) must
-            // join the dead worker without re-raising its panic, and stay
-            // idempotent after the abort.
-            engine.shutdown();
-            engine.shutdown();
-        }
+        let mut engine = Engine::start(
+            bag_config(4),
+            RuntimeOptions {
+                shards: 2,
+                workers: 2,
+                queue_capacity: 4,
+                ..RuntimeOptions::default()
+            },
+        );
+        engine.observe(UserId(0), &unit(0));
+        engine.observe(UserId(1), &unit(0));
+        engine.post(0, ShardMsg::Poison);
+        assert!(engine.snapshot(2).is_err(), "the barrier must fail");
+        // The regression: shutdown (and the drop that follows) must join
+        // the dead worker without re-raising its panic, and stay
+        // idempotent after the abort.
+        engine.shutdown();
+        engine.shutdown();
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!                  └───┬───┘ └───┬───┘ └───┬───┘
 //!                      └─────────┼─────────┘
 //!              run queue ─▶ ┌────┴────┐ ◀─ N worker threads
-//!              (steal any   │scheduler│    (or one thread per
-//!               runnable    └────┬────┘     shard: `Threaded`)
+//!              (steal any   │ runtime │    (work stealing)
+//!               runnable    └────┬────┘
 //!               shard)           │
 //!                                ▼ replies (re-sequenced by query id)
 //!                      recommendations / snapshots
@@ -40,7 +40,7 @@
 //!
 //! The engine's output — the recommendation log and any snapshot — is a
 //! pure function of the event stream and the [`EngineConfig`]. Logical
-//! shard count, worker thread count, scheduler, queue capacity and
+//! shard count, worker thread count, queue capacity and
 //! feature-precompute thread count are *mechanical* knobs that must never
 //! change a byte of output:
 //!

@@ -2,9 +2,7 @@
 //!
 //! Every user's model and candidate window live in exactly one logical
 //! shard (`user_id % shards`), and the single ingest thread sends a user's
-//! messages through that shard's FIFO (a blocking channel under
-//! [`crate::config::Scheduler::Threaded`], a mailbox under
-//! [`crate::config::Scheduler::WorkSteal`]) in global stream order. A
+//! messages through that shard's FIFO mailbox in global stream order. A
 //! user's state therefore evolves through the same sequence of updates no
 //! matter how many shards or threads exist — the mechanical layout only
 //! changes *which thread* applies the sequence, never the sequence itself.

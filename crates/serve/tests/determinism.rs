@@ -1,6 +1,6 @@
 //! The serving engine's determinism contract, enforced in-repo (CI's
 //! `serve-smoke` job repeats the same checks across *processes*): shard
-//! count, worker count, scheduler, queue capacity and feature-precompute
+//! count, worker count, queue capacity and feature-precompute
 //! thread count must never change a byte of recommendation or snapshot
 //! output, and `serving_outputs_match_pinned_digests` pins those bytes
 //! themselves against change in the query path.
@@ -9,8 +9,7 @@ use pmr_bag::{BagSimilarity, WeightingScheme};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
-    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, Scheduler,
-    ServeModel,
+    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, ServeModel,
 };
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -250,32 +249,28 @@ fn resume_rejects_a_snapshot_past_the_end_of_the_stream() {
 
 #[test]
 fn scheduler_and_worker_count_do_not_change_recommendations() {
-    // The work-stealing runtime multiplexes logical shards over arbitrary
-    // worker counts; the thread-per-shard baseline pins one thread per
-    // shard. All of it is mechanical: same shards, same bytes.
+    // The runtime multiplexes logical shards over any number of worker
+    // threads, and which worker runs which shard is scheduling noise. All
+    // of it is mechanical: same shards, same bytes.
     for (seed, options) in [(51, bag_options()), (52, graph_options()), (55, topic_options())] {
         let prepared = prepared(seed);
         let mut options = options;
-        options.runtime = RuntimeOptions {
+        let runtime = |workers| RuntimeOptions {
             shards: 8,
+            workers,
             queue_capacity: 8,
-            scheduler: Scheduler::Threaded,
             ..RuntimeOptions::default()
         };
-        let threaded = Replay::run(&prepared, options);
-        assert!(threaded.queries > 0, "the replay must actually issue queries");
-        for workers in [1, 4] {
-            options.runtime = RuntimeOptions {
-                shards: 8,
-                workers,
-                queue_capacity: 8,
-                scheduler: Scheduler::WorkSteal,
-            };
+        options.runtime = runtime(1);
+        let single = Replay::run(&prepared, options);
+        assert!(single.queries > 0, "the replay must actually issue queries");
+        for workers in [2, 4] {
+            options.runtime = runtime(workers);
             let stolen = Replay::run(&prepared, options);
             assert_eq!(
                 rec_log(&stolen.recommendations).expect("log serializes"),
-                rec_log(&threaded.recommendations).expect("log serializes"),
-                "worksteal({workers} workers) must replicate thread-per-shard byte-for-byte"
+                rec_log(&single.recommendations).expect("log serializes"),
+                "{workers} workers must replicate one worker byte-for-byte"
             );
         }
     }

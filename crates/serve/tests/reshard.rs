@@ -1,7 +1,7 @@
 //! Live-resharding determinism: a snapshot taken under one layout must
-//! restore under *any* other — different logical shard count, worker
-//! count, or scheduler — and continue to a byte-identical recommendation
-//! log, from any pause point including the middle of a celebrity storm.
+//! restore under *any* other — different logical shard count or worker
+//! count — and continue to a byte-identical recommendation log, from any
+//! pause point including the middle of a celebrity storm.
 //!
 //! This is the elastic-serving contract: operators reshard by snapshot →
 //! restore under new `--shards`/`--workers`, and the rec log must not be
@@ -13,8 +13,7 @@ use pmr_bag::{BagSimilarity, WeightingScheme};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
-    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, Scheduler,
-    ServeModel,
+    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, ServeModel,
 };
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -24,9 +23,9 @@ fn prepared(seed: u64) -> PreparedCorpus {
 }
 
 /// The source layout every snapshot in this suite is taken under:
-/// 4 logical shards on the work-stealing runtime.
+/// 4 logical shards on 2 workers.
 fn source_runtime() -> RuntimeOptions {
-    RuntimeOptions { shards: 4, workers: 2, queue_capacity: 32, scheduler: Scheduler::WorkSteal }
+    RuntimeOptions { shards: 4, workers: 2, queue_capacity: 32, ..RuntimeOptions::default() }
 }
 
 fn bag_options() -> ReplayOptions {
@@ -167,7 +166,7 @@ fn reshard_matrix_is_byte_identical_for_every_family() {
                     shards,
                     workers,
                     queue_capacity: 16,
-                    scheduler: Scheduler::WorkSteal,
+                    ..RuntimeOptions::default()
                 };
                 restore_and_diff(
                     &prepared,
@@ -183,32 +182,6 @@ fn reshard_matrix_is_byte_identical_for_every_family() {
     }
 }
 
-/// Resharding across schedulers: a snapshot from the work-stealing runtime
-/// restores onto the thread-per-shard baseline (and the reverse direction
-/// is covered by the matrix above, whose source is work-steal).
-#[test]
-fn reshard_across_schedulers_is_byte_identical() {
-    let options = bag_options();
-    let prepared = prepared(62);
-    let pause = prepared.corpus.event_stream().len() / 3;
-    let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
-    let runtime = RuntimeOptions {
-        shards: 3,
-        queue_capacity: 8,
-        scheduler: Scheduler::Threaded,
-        ..RuntimeOptions::default()
-    };
-    restore_and_diff(
-        &prepared,
-        options,
-        runtime,
-        &head,
-        &wire,
-        &reference_log,
-        "worksteal -> threaded",
-    );
-}
-
 /// The mid-storm case: pause immediately after the widest celebrity
 /// fan-out, while the storm's exposures dominate the candidate windows,
 /// and reshard in both directions (shrink and grow).
@@ -219,12 +192,8 @@ fn mid_storm_reshard_is_byte_identical_for_both_gram_families() {
         let pause = mid_storm_position(&prepared);
         let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
         for (shards, workers) in [(1usize, 1usize), (64, 4)] {
-            let runtime = RuntimeOptions {
-                shards,
-                workers,
-                queue_capacity: 16,
-                scheduler: Scheduler::WorkSteal,
-            };
+            let runtime =
+                RuntimeOptions { shards, workers, queue_capacity: 16, ..RuntimeOptions::default() };
             restore_and_diff(
                 &prepared,
                 options,
@@ -263,12 +232,8 @@ fn mid_refresh_topic_reshard_is_byte_identical() {
     for pause in [refresh as usize + refresh as usize / 2, 2 * refresh as usize] {
         let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
         for (shards, workers) in [(1usize, 1usize), (16, 4)] {
-            let runtime = RuntimeOptions {
-                shards,
-                workers,
-                queue_capacity: 16,
-                scheduler: Scheduler::WorkSteal,
-            };
+            let runtime =
+                RuntimeOptions { shards, workers, queue_capacity: 16, ..RuntimeOptions::default() };
             restore_and_diff(
                 &prepared,
                 options,

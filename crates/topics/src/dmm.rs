@@ -27,7 +27,7 @@ use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
 use crate::lda::estimate_phi;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel, WordTopic};
+use crate::model::{normalize, sample_discrete, uniform, word_counts, TopicModel, WordTopic};
 
 /// DMM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,7 +85,6 @@ impl DmmModel {
                 t
             })
             .collect();
-        let vb = v as f64 * cfg.beta;
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.dmm");
             for (d, doc) in corpus.docs.iter().enumerate() {
@@ -95,29 +94,7 @@ impl DmmModel {
                     n_wk.row_mut(w as usize)[old] -= 1;
                 }
                 n_k[old] -= doc.len() as u32;
-                // Per-document word counts.
-                let mut counts: std::collections::HashMap<TermId, u32> =
-                    std::collections::HashMap::new();
-                for &w in doc {
-                    *counts.entry(w).or_insert(0) += 1;
-                }
-                // Log-space cluster scores, reading one count row per word.
-                // Each cluster still sums ln(m_k + α), then every (word,
-                // repeat) term, then every position term, in that order.
-                let mut scores: Vec<f64> =
-                    m_k.iter().map(|&m| (m as f64 + cfg.alpha).ln()).collect();
-                for (&w, &c) in &counts {
-                    for (s, &n) in scores.iter_mut().zip(n_wk.row(w as usize)) {
-                        for j in 0..c {
-                            *s += (n as f64 + cfg.beta + j as f64).ln();
-                        }
-                    }
-                }
-                for (s, &nk) in scores.iter_mut().zip(&n_k) {
-                    for i in 0..doc.len() {
-                        *s -= (nk as f64 + vb + i as f64).ln();
-                    }
-                }
+                let scores = cluster_scores(cfg, doc, &m_k, &n_wk, &n_k);
                 let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let weights: Vec<f64> = scores.iter().map(|&s| (s - max).exp()).collect();
                 let new = sample_discrete(&mut rng, &weights);
@@ -173,6 +150,35 @@ impl DmmModel {
         }
         scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap_or(0)
     }
+}
+
+/// Log-space GSDMM score of every cluster for `doc`, which the counts must
+/// exclude; reads one count row per distinct word. Each cluster sums
+/// ln(m_k + α), then every (word, repeat) term in ascending word id, then
+/// every position term, in that order, so the bits are a pure function of
+/// the counts.
+fn cluster_scores(
+    cfg: &DmmConfig,
+    doc: &[TermId],
+    m_k: &[u32],
+    n_wk: &WordTopic<u32>,
+    n_k: &[u32],
+) -> Vec<f64> {
+    let vb = n_wk.words() as f64 * cfg.beta;
+    let mut scores: Vec<f64> = m_k.iter().map(|&m| (m as f64 + cfg.alpha).ln()).collect();
+    for (w, c) in word_counts(doc.to_vec()) {
+        for (s, &n) in scores.iter_mut().zip(n_wk.row(w as usize)) {
+            for j in 0..c {
+                *s += (n as f64 + cfg.beta + j as f64).ln();
+            }
+        }
+    }
+    for (s, &nk) in scores.iter_mut().zip(n_k) {
+        for i in 0..doc.len() {
+            *s -= (nk as f64 + vb + i as f64).ln();
+        }
+    }
+    scores
 }
 
 impl TopicModel for DmmModel {
@@ -266,6 +272,31 @@ mod tests {
         let th = model.infer(&[], &mut rng);
         assert!((th.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         assert!(th.iter().all(|&p| p > 0.0));
+    }
+
+    /// The cluster scores sum one run of terms per distinct word in
+    /// ascending word id, so scoring the same many-word document again
+    /// gives the same bits (a fresh `HashMap` per call used to reorder the
+    /// sum on every call).
+    #[test]
+    fn cluster_scores_repeat_bit_for_bit() {
+        let (v, k) = (60usize, 4usize);
+        let doc: Vec<TermId> =
+            (0..v as TermId).flat_map(|w| std::iter::repeat_n(w, 1 + w as usize % 3)).collect();
+        let mut n_wk = WordTopic::<u32>::new(v, k);
+        for w in 0..v {
+            for (t, n) in n_wk.row_mut(w).iter_mut().enumerate() {
+                *n = (3 * w + t) as u32;
+            }
+        }
+        let n_k: Vec<u32> = (0..k).map(|t| n_wk.topic(t).sum()).collect();
+        let m_k = [5, 3, 8, 1];
+        let cfg = DmmConfig { topics: k, ..DmmConfig::default() };
+        let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let first = bits(cluster_scores(&cfg, &doc, &m_k, &n_wk, &n_k));
+        for _ in 0..64 {
+            assert_eq!(bits(cluster_scores(&cfg, &doc, &m_k, &n_wk, &n_k)), first);
+        }
     }
 
     #[test]

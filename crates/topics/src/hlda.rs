@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{ln_gamma, normalize, sample_discrete, uniform, TopicModel};
+use crate::model::{ln_gamma, normalize, sample_discrete, uniform, word_counts, TopicModel};
 
 /// HLDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -224,18 +224,19 @@ impl<'a> Sampler<'a> {
     /// Dirichlet-multinomial log likelihood of the document's level-`l`
     /// words under `node` (or an empty new node for `usize::MAX`).
     fn level_likelihood(&self, d: usize, l: usize, node: usize) -> f64 {
-        // Gather the document's level-l word counts.
-        let mut local: HashMap<TermId, u32> = HashMap::new();
-        let mut n_dl = 0u32;
-        for (i, &w) in self.corpus.docs[d].iter().enumerate() {
-            if self.levels_z[d][i] == l {
-                *local.entry(w).or_insert(0) += 1;
-                n_dl += 1;
-            }
-        }
+        // The document's level-l words, counted in ascending word id so the
+        // per-word terms below are summed in one fixed order.
+        let words: Vec<TermId> = self.corpus.docs[d]
+            .iter()
+            .zip(&self.levels_z[d])
+            .filter(|&(_, &z)| z == l)
+            .map(|(&w, _)| w)
+            .collect();
+        let n_dl = words.len() as u32;
         if n_dl == 0 {
             return 0.0;
         }
+        let local = word_counts(words);
         let v = self.corpus.vocab_size() as f64;
         let eta = self.cfg.eta;
         let (node_total, node_count): (u32, Option<&HashMap<TermId, u32>>) = if node == usize::MAX {
@@ -245,7 +246,7 @@ impl<'a> Sampler<'a> {
         };
         let mut ll = ln_gamma(node_total as f64 + v * eta)
             - ln_gamma(node_total as f64 + n_dl as f64 + v * eta);
-        for (&w, &c) in &local {
+        for &(w, c) in &local {
             let base = node_count.and_then(|m| m.get(&w)).copied().unwrap_or(0) as f64;
             ll += ln_gamma(base + c as f64 + eta) - ln_gamma(base + eta);
         }
@@ -582,6 +583,40 @@ mod tests {
         let model = HldaModel::train(&paper_cfg(30, 7), &corpus);
         for p in model.frozen_paths() {
             assert_eq!(p.len(), 3);
+        }
+    }
+
+    /// The path score sums one term per distinct word of a level in
+    /// ascending word id, so scoring the same document again gives the
+    /// same bits. A fresh `HashMap` per call used to reorder the sum on
+    /// every call, which moves the bits whenever the partial sums cross a
+    /// power of two; over these 40 documents most scores moved.
+    #[test]
+    fn level_likelihood_repeats_bit_for_bit() {
+        let words: Vec<String> = (0..120).map(|i| format!("w{i}")).collect();
+        let docs: Vec<Vec<&str>> = (0..40)
+            .map(|j| {
+                (0..12 + j)
+                    .flat_map(|i| {
+                        let w = words[(3 * j + 7 * i) % words.len()].as_str();
+                        std::iter::repeat_n(w, 1 + (i + j) % 3)
+                    })
+                    .collect()
+            })
+            .collect();
+        let corpus = TopicCorpus::from_token_docs(docs);
+        let cfg = paper_cfg(1, 4);
+        let sampler = Sampler::new(&cfg, &corpus);
+        for d in 0..corpus.len() {
+            for l in 1..cfg.levels {
+                for node in [sampler.paths[d][l], usize::MAX] {
+                    let first = sampler.level_likelihood(d, l, node).to_bits();
+                    for _ in 0..64 {
+                        let again = sampler.level_likelihood(d, l, node).to_bits();
+                        assert_eq!(again, first, "document {d}, level {l}, node {node}");
+                    }
+                }
+            }
         }
     }
 

@@ -168,6 +168,22 @@ pub(crate) fn normalize(v: &mut [f32]) {
     }
 }
 
+/// Occurrence counts of `words` as `(word, count)` pairs in ascending word
+/// id: sort, then run-length encode. Samplers that sum one term per
+/// distinct word iterate this instead of a `HashMap`, whose iteration
+/// order (and with it the sum's rounding) changes with every new map.
+pub(crate) fn word_counts(mut words: Vec<TermId>) -> Vec<(TermId, u32)> {
+    words.sort_unstable();
+    let mut counts: Vec<(TermId, u32)> = Vec::new();
+    for w in words {
+        match counts.last_mut() {
+            Some((last, c)) if *last == w => *c += 1,
+            _ => counts.push((w, 1)),
+        }
+    }
+    counts
+}
+
 /// Natural log of the Gamma function (Lanczos approximation, g = 7).
 /// Accurate to ~1e-13 for x > 0, which is far beyond what Gibbs likelihood
 /// ratios need.
