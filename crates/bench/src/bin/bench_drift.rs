@@ -1,4 +1,4 @@
-//! Measures online-vs-batch MAP drift for the serving engine's three
+//! Measures online-vs-oracle MAP drift for the serving engine's three
 //! incremental model families (bag, graph, topic).
 //!
 //! ```text
@@ -7,37 +7,45 @@
 //! ```
 //!
 //! For each family the harness replays the event stream through
-//! `pmr-serve` with `k = window`, so every answered query logs the user's
-//! *entire* eligible candidate window with its online scores. It then
-//! re-ranks the exact same candidate sets with a batch oracle — the same
-//! incremental model type fed every original the user ever retweeted, with
-//! no decay (for topic: the epoch-0 background) — and reports both MAPs
-//! plus their difference. Relevance for a query at time `now` is "the
-//! queried user retweets this original at a timestamp strictly after
-//! `now`", the same future-retweet criterion the offline harness uses.
+//! `pmr-serve` twice with `k = window`, so every answered query logs the
+//! user's *entire* eligible candidate window with its scores: once with
+//! the family's serving preset ([`pmr_bench::serve_model`]) and once with
+//! the same preset at decay 1.0 — the oracle. Both sides are the engine
+//! itself, so at each query both have applied exactly the retweets
+//! ingested before it and none after: the comparison is prequential
+//! (test, then train) by construction. Relevance for a query at time `now`
+//! is "the queried user retweets this original at a timestamp strictly
+//! after `now`", the same future-retweet criterion the offline harness
+//! uses.
 //!
-//! The drift number isolates what serving costs in ranking quality:
-//! the online side sees only the causal prefix and forgets via decay,
-//! the batch side sees the whole corpus undecayed. Everything else —
-//! candidate sets, relevance labels, tie-breaking — is held identical.
+//! Candidate windows do not depend on the model, so the two rec logs must
+//! pair up query by query — the same `(query, user, now)` and the same
+//! candidate set — and the harness exits non-zero if they do not. Drift =
+//! online MAP − oracle MAP is then the cost of history decay alone (the
+//! graph family has no decay, so its drift is exactly 0). Each family also
+//! reports a paired randomization p-value and a 95% half-width over the
+//! per-query AP differences.
 
 use std::collections::BTreeMap;
 use std::process::exit;
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 
-use pmr_bag::BagSimilarity;
-use pmr_bench::Scale;
+use pmr_bench::{serve_model, Scale};
 use pmr_core::eval::{average_precision, tie_break_key, ScoredDoc};
-use pmr_core::{GramKind, OnlineGraphModel, OnlineProfile, PreparedCorpus, SplitConfig};
+use pmr_core::{paired_randomization_test, PreparedCorpus, SplitConfig};
 use pmr_serve::{
-    precompute_features, EngineConfig, Replay, ReplayOptions, RuntimeOptions, ServeModel,
-    TweetFeatures,
+    EngineConfig, Recommendation, Replay, ReplayOptions, ReplayOutcome, RuntimeOptions, ServeModel,
 };
-use pmr_sim::{generate_corpus, SimConfig, StreamEvent, Timestamp};
-use pmr_topics::{TopicBackground, TopicProfile};
+use pmr_sim::{generate_corpus, SimConfig, Timestamp};
+
+/// The families measured, each under its [`serve_model`] preset.
+const FAMILIES: [&str; 3] = ["bag", "graph", "topic"];
+/// Sign flips of the paired randomization test. With the fixed seed the
+/// p-value is a pure function of the AP pairs.
+const PERMUTATIONS: usize = 10_000;
+const PERMUTATION_SEED: u64 = 42;
 
 #[derive(Debug, Serialize)]
 struct FamilyDrift {
@@ -48,10 +56,16 @@ struct FamilyDrift {
     /// add identical zeros to both sides).
     scored_queries: u64,
     online_map: f64,
-    batch_map: f64,
-    /// `online_map − batch_map`: negative when serving loses quality to
-    /// prefix-only observation and decay.
+    oracle_map: f64,
+    /// `online_map − oracle_map`: negative when history decay costs the
+    /// preset ranking quality.
     drift: f64,
+    /// 1.96·s/√n over the per-query AP differences (null below two scored
+    /// queries).
+    ci95_half_width: Option<f64>,
+    /// Two-sided paired randomization test of `drift` against 0.
+    p_value: f64,
+    /// Wall-clock seconds of both replays.
     replay_s: f64,
 }
 
@@ -76,221 +90,138 @@ fn usage(problem: &str) -> ! {
     exit(2);
 }
 
-/// The serving configurations under measurement — the same defaults
-/// `bench_serve` runs, one per incremental family.
-fn families(seed: u64, refresh: u64) -> Vec<(&'static str, ServeModel)> {
-    vec![
-        (
-            "bag",
-            ServeModel::Bag {
-                weighting: pmr_bag::WeightingScheme::TFIDF,
-                similarity: BagSimilarity::Cosine,
-                char_grams: false,
-                n: 1,
-                decay: 0.99,
-            },
-        ),
-        (
-            "graph",
-            ServeModel::Graph {
-                similarity: pmr_graph::GraphSimilarity::Value,
-                char_grams: false,
-                n: 1,
-            },
-        ),
-        (
-            "topic",
-            ServeModel::Topic {
-                topics: 16,
-                alpha: 50.0 / 16.0,
-                beta: 0.01,
-                train_iterations: 50,
-                foldin_iterations: 8,
-                seed,
-                decay: 0.99,
-                background_refresh: refresh,
-            },
-        ),
-    ]
+/// The oracle of `model`: the same preset with history decay switched off.
+fn undecayed(mut model: ServeModel) -> ServeModel {
+    if let ServeModel::Bag { decay, .. } | ServeModel::Topic { decay, .. } = &mut model {
+        *decay = 1.0;
+    }
+    model
 }
 
-/// The batch oracle: one undecayed model per queried user, fed every
-/// original that user retweeted anywhere in the stream (the online models
-/// observe exactly those documents, but only up to the query time and
-/// through a decay factor).
-enum BatchModel {
-    Bag { profile: OnlineProfile, similarity: BagSimilarity },
-    Graph(Box<OnlineGraphModel>),
-    Topic { profile: TopicProfile, background: Arc<TopicBackground> },
-}
-
-impl BatchModel {
-    fn fresh(model: &ServeModel, background: Option<&Arc<TopicBackground>>) -> BatchModel {
-        match *model {
-            ServeModel::Bag { similarity, .. } => {
-                BatchModel::Bag { profile: OnlineProfile::new(1.0), similarity }
-            }
-            ServeModel::Graph { similarity, n, .. } => {
-                BatchModel::Graph(Box::new(OnlineGraphModel::new(similarity, n)))
-            }
-            ServeModel::Topic { topics, .. } => BatchModel::Topic {
-                profile: TopicProfile::new(1.0, topics),
-                background: Arc::clone(background.expect("topic family trains a background")),
-            },
+/// (user, original) → the user's earliest retweet of it. The stream is
+/// time-ordered, so the first occurrence wins.
+fn first_retweets(prepared: &PreparedCorpus) -> BTreeMap<(u32, u32), Timestamp> {
+    let mut first = BTreeMap::new();
+    for event in prepared.corpus.event_stream() {
+        if let Some(original) = event.retweet_of {
+            first.entry((event.author.0, original.0)).or_insert(event.at);
         }
     }
-
-    fn observe(&mut self, features: &TweetFeatures, thetas: &mut BTreeMap<u64, Vec<f32>>) {
-        match (self, features) {
-            (BatchModel::Bag { profile, .. }, TweetFeatures::Bag(unit)) => {
-                profile.observe_unit(unit)
-            }
-            (BatchModel::Graph(graph), TweetFeatures::Graph(grams)) => graph.observe(grams),
-            (BatchModel::Topic { profile, background }, TweetFeatures::Topic(doc)) => {
-                let theta = thetas
-                    .entry(doc.key)
-                    .or_insert_with(|| background.fold_in(&doc.tokens, doc.key));
-                profile.observe(theta);
-            }
-            _ => unreachable!("features are computed from the same model config"),
-        }
-    }
-
-    fn score(&mut self, features: &TweetFeatures, thetas: &mut BTreeMap<u64, Vec<f32>>) -> f64 {
-        match (self, features) {
-            (BatchModel::Bag { profile, similarity }, TweetFeatures::Bag(unit)) => {
-                similarity.compare(profile.vector(), unit)
-            }
-            (BatchModel::Graph(graph), TweetFeatures::Graph(grams)) => graph.score(grams),
-            (BatchModel::Topic { profile, background }, TweetFeatures::Topic(doc)) => {
-                let theta = thetas
-                    .entry(doc.key)
-                    .or_insert_with(|| background.fold_in(&doc.tokens, doc.key));
-                profile.score(theta)
-            }
-            _ => unreachable!("features are computed from the same model config"),
-        }
-    }
+    first
 }
 
 /// Inputs shared by every family measurement.
 struct DriftSetup<'a> {
     prepared: &'a PreparedCorpus,
-    stream: &'a [StreamEvent],
     first_retweet: &'a BTreeMap<(u32, u32), Timestamp>,
     window: usize,
     query_every: usize,
     jobs: usize,
 }
 
-/// Measure one family: replay online, rebuild the batch oracle, re-rank.
-fn measure(name: &str, model: ServeModel, setup: &DriftSetup) -> FamilyDrift {
-    let &DriftSetup { prepared, stream, first_retweet, window, query_every, jobs } = setup;
-    let options = ReplayOptions {
-        config: EngineConfig { model, window },
-        // `k = window`: the log must carry the full eligible candidate set,
-        // not a top-k truncation, so the batch side re-ranks the same pool.
-        runtime: RuntimeOptions::default(),
-        k: window,
-        query_every,
-        jobs,
-    };
-    let replay_start = Instant::now();
-    let outcome = Replay::run(prepared, options);
-    let replay_s = replay_start.elapsed().as_secs_f64();
+impl DriftSetup<'_> {
+    /// Replay `model` and its oracle over the same stream and schedule.
+    /// `k = window`: each log carries every query's full eligible
+    /// candidate set, not a top-k truncation, so both sides rank one pool.
+    fn replays(&self, model: ServeModel) -> [ReplayOutcome; 2] {
+        [model, undecayed(model)].map(|model| {
+            let options = ReplayOptions {
+                config: EngineConfig { model, window: self.window },
+                runtime: RuntimeOptions::default(),
+                k: self.window,
+                query_every: self.query_every,
+                jobs: self.jobs,
+            };
+            Replay::run(self.prepared, options)
+        })
+    }
 
-    let features = precompute_features(prepared, model, jobs);
-    // The topic oracle scores against the epoch-0 background — the same
-    // bootstrap model the replay starts from (and keeps, at --refresh 0).
-    let background = model.online_topic().map(|(cfg, _, _)| {
-        let table = prepared.gram_table(GramKind::Token, 1);
-        let docs: Vec<&[pmr_text::vocab::TermId]> = features
-            .iter()
-            .filter_map(|f| match f.as_deref() {
-                Some(TweetFeatures::Topic(doc)) => Some(doc.tokens.as_slice()),
-                _ => None,
-            })
-            .collect();
-        Arc::new(TopicBackground::train(&cfg, &docs, table.vocab_len(), 0))
-    });
-
-    // Build the batch models for every user the replay actually queried.
-    let mut batch: BTreeMap<u32, BatchModel> = outcome
-        .recommendations
-        .iter()
-        .map(|r| (r.user, BatchModel::fresh(&model, background.as_ref())))
-        .collect();
-    let mut thetas: BTreeMap<u64, Vec<f32>> = BTreeMap::new();
-    for event in stream {
-        if let Some(original) = event.retweet_of {
-            if let (Some(model), Some(features)) =
-                (batch.get_mut(&event.author.0), features[original.index()].as_deref())
+    /// Score the online and oracle logs of family `name` over the same
+    /// relevance labels. Errors if the logs do not pair up query by query.
+    fn compare(
+        &self,
+        name: &str,
+        online: &ReplayOutcome,
+        oracle: &ReplayOutcome,
+        replay_s: f64,
+    ) -> Result<FamilyDrift, String> {
+        let (recs, oracle_recs) = (&online.recommendations, &oracle.recommendations);
+        if recs.len() != oracle_recs.len() {
+            return Err(format!(
+                "{} online answers but {} oracle answers",
+                recs.len(),
+                oracle_recs.len()
+            ));
+        }
+        let mut online_ap = Vec::new();
+        let mut oracle_ap = Vec::new();
+        for (a, b) in recs.iter().zip(oracle_recs) {
+            if (a.query, a.user, a.now) != (b.query, b.user, b.now)
+                || candidates(a) != candidates(b)
             {
-                model.observe(features, &mut thetas);
+                return Err(format!(
+                    "query {} (user {}, now {}) has a different key or candidate set in the \
+                     oracle log",
+                    a.query, a.user, a.now
+                ));
+            }
+            let relevant =
+                |tweet: u32| self.first_retweet.get(&(a.user, tweet)).is_some_and(|&at| at > a.now);
+            if a.items.iter().any(|item| relevant(item.tweet)) {
+                online_ap.push(average_precision(&ranking(a, relevant)));
+                oracle_ap.push(average_precision(&ranking(b, relevant)));
             }
         }
-    }
 
-    let mut online_sum = 0.0;
-    let mut batch_sum = 0.0;
-    let mut scored_queries = 0u64;
-    for rec in &outcome.recommendations {
-        let relevant = |item: &pmr_serve::RecItem| {
-            first_retweet.get(&(rec.user, item.tweet)).is_some_and(|&at| at > rec.now)
-        };
-        if !rec.items.iter().any(&relevant) {
-            continue;
-        }
-        let online: Vec<ScoredDoc> = rec
-            .items
-            .iter()
-            .map(|item| ScoredDoc {
-                score: item.score,
-                relevant: relevant(item),
-                tie_break: tie_break_key(item.tweet),
-            })
-            .collect();
-        let user_model = batch.get_mut(&rec.user).expect("every queried user has a batch model");
-        let rescored: Vec<ScoredDoc> = rec
-            .items
-            .iter()
-            .map(|item| ScoredDoc {
-                score: features[item.tweet as usize]
-                    .as_deref()
-                    .map(|f| user_model.score(f, &mut thetas))
-                    .unwrap_or(0.0),
-                relevant: relevant(item),
-                tie_break: tie_break_key(item.tweet),
-            })
-            .collect();
-        online_sum += average_precision(&online);
-        batch_sum += average_precision(&rescored);
-        scored_queries += 1;
+        let n = online_ap.len();
+        let mean = |xs: &[f64]| if n == 0 { 0.0 } else { xs.iter().sum::<f64>() / n as f64 };
+        let (online_map, oracle_map) = (mean(&online_ap), mean(&oracle_ap));
+        let diffs: Vec<f64> = online_ap.iter().zip(&oracle_ap).map(|(x, y)| x - y).collect();
+        let ci95_half_width = (n >= 2).then(|| {
+            let m = mean(&diffs);
+            let variance = diffs.iter().map(|d| (d - m) * (d - m)).sum::<f64>() / (n - 1) as f64;
+            1.96 * (variance / n as f64).sqrt()
+        });
+        let test =
+            paired_randomization_test(&online_ap, &oracle_ap, PERMUTATIONS, PERMUTATION_SEED);
+        Ok(FamilyDrift {
+            model: name.to_owned(),
+            queries: online.queries,
+            scored_queries: n as u64,
+            online_map,
+            oracle_map,
+            drift: online_map - oracle_map,
+            ci95_half_width,
+            p_value: test.p_value,
+            replay_s,
+        })
     }
-    let online_map = if scored_queries > 0 { online_sum / scored_queries as f64 } else { 0.0 };
-    let batch_map = if scored_queries > 0 { batch_sum / scored_queries as f64 } else { 0.0 };
-    let drift = FamilyDrift {
-        model: name.to_owned(),
-        queries: outcome.queries,
-        scored_queries,
-        online_map,
-        batch_map,
-        drift: online_map - batch_map,
-        replay_s,
-    };
-    eprintln!(
-        "  {name}: {} queries ({} scored), online MAP {:.3}, batch MAP {:.3}, \
-         drift {:+.3} ({replay_s:.2}s replay)",
-        drift.queries, drift.scored_queries, drift.online_map, drift.batch_map, drift.drift
-    );
-    drift
+}
+
+/// A logged query's candidate tweet ids, in id order.
+fn candidates(rec: &Recommendation) -> Vec<u32> {
+    let mut ids: Vec<u32> = rec.items.iter().map(|item| item.tweet).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// A logged query's candidates with their scores and relevance labels.
+fn ranking(rec: &Recommendation, relevant: impl Fn(u32) -> bool) -> Vec<ScoredDoc> {
+    rec.items
+        .iter()
+        .map(|item| ScoredDoc {
+            score: item.score,
+            relevant: relevant(item.tweet),
+            tie_break: tie_break_key(item.tweet),
+        })
+        .collect()
 }
 
 fn main() {
     let mut scale = Scale::Smoke;
     let mut seed: u64 = 42;
     let mut window: usize = 64;
-    let mut query_every: usize = 25;
+    let mut query_every: usize = 1;
     let mut refresh: u64 = 0;
     let mut jobs: usize = 1;
     let mut out = String::from("results/BENCH_drift.json");
@@ -331,30 +262,39 @@ fn main() {
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
-    let stream = prepared.corpus.event_stream();
-
-    // (user, original) → earliest retweet time; the stream is time-ordered,
-    // so the first occurrence wins.
-    let mut first_retweet: BTreeMap<(u32, u32), Timestamp> = BTreeMap::new();
-    for event in &stream {
-        if let Some(original) = event.retweet_of {
-            first_retweet.entry((event.author.0, original.0)).or_insert(event.at);
-        }
-    }
+    let first_retweet = first_retweets(&prepared);
 
     eprintln!("drift: scale {}, seed {seed}, window {window}", scale.name());
     let setup = DriftSetup {
         prepared: &prepared,
-        stream: &stream,
         first_retweet: &first_retweet,
         window,
         query_every,
         jobs,
     };
-    let results: Vec<FamilyDrift> = families(seed, refresh)
-        .into_iter()
-        .map(|(name, model)| measure(name, model, &setup))
-        .collect();
+    let mut families = Vec::new();
+    for name in FAMILIES {
+        let model = serve_model(name, seed, refresh).expect("every family has a preset");
+        let replay_start = Instant::now();
+        let [online, oracle] = setup.replays(model);
+        let replay_s = replay_start.elapsed().as_secs_f64();
+        let drift = setup.compare(name, &online, &oracle, replay_s).unwrap_or_else(|problem| {
+            eprintln!("bench_drift: {name}: the online and oracle logs do not pair up: {problem}");
+            exit(1)
+        });
+        eprintln!(
+            "  {name}: {} queries ({} scored), online MAP {:.3}, oracle MAP {:.3}, \
+             drift {:+.3} ± {:.3} (p {:.3}, {replay_s:.2}s replay)",
+            drift.queries,
+            drift.scored_queries,
+            drift.online_map,
+            drift.oracle_map,
+            drift.drift,
+            drift.ci95_half_width.unwrap_or(f64::NAN),
+            drift.p_value
+        );
+        families.push(drift);
+    }
 
     let baseline = DriftBaseline {
         benchmark: "drift",
@@ -363,7 +303,7 @@ fn main() {
         window,
         query_every,
         refresh,
-        families: results,
+        families,
     };
     let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
     if let Some(parent) = std::path::Path::new(&out).parent() {
@@ -371,4 +311,50 @@ fn main() {
     }
     std::fs::write(&out, json + "\n").expect("baseline file is writable");
     eprintln!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmr_serve::rec_log;
+
+    /// Replay `model` and its oracle at smoke scale, seed 42, one query
+    /// per 25 events: both rec logs and the family's drift row.
+    fn smoke_drift(model: ServeModel) -> ([String; 2], FamilyDrift) {
+        let corpus = generate_corpus(&SimConfig::preset(Scale::Smoke.preset(), 42));
+        let prepared =
+            PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
+        let first_retweet = first_retweets(&prepared);
+        let setup = DriftSetup {
+            prepared: &prepared,
+            first_retweet: &first_retweet,
+            window: 64,
+            query_every: 25,
+            jobs: 1,
+        };
+        let [online, oracle] = setup.replays(model);
+        let drift = setup.compare("test", &online, &oracle, 0.0).expect("the logs pair up");
+        let logs = [online, oracle].map(|o| rec_log(&o.recommendations).expect("log serializes"));
+        (logs, drift)
+    }
+
+    /// An undecayed preset is its own oracle, so any oracle that observes
+    /// an event the engine had not applied at query time scores some
+    /// candidate differently and breaks the identity.
+    fn assert_oracle_is_causal(model: ServeModel) {
+        let ([online, oracle], drift) = smoke_drift(model);
+        assert!(online == oracle, "the online and oracle rec logs differ");
+        assert_eq!(drift.drift, 0.0);
+        assert!(drift.scored_queries > 0, "no query had a relevant candidate");
+    }
+
+    #[test]
+    fn graph_oracle_observes_nothing_the_engine_had_not_applied() {
+        assert_oracle_is_causal(serve_model("graph", 42, 0).expect("graph preset"));
+    }
+
+    #[test]
+    fn undecayed_bag_oracle_observes_nothing_the_engine_had_not_applied() {
+        assert_oracle_is_causal(undecayed(serve_model("bag", 42, 0).expect("bag preset")));
+    }
 }

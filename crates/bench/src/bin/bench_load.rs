@@ -42,7 +42,7 @@ use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
     corpus_ops, precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay,
-    ReplayOptions, RuntimeOptions, ServeModel,
+    ReplayOptions, RuntimeOptions,
 };
 use pmr_sim::{generate_corpus, SimConfig};
 
@@ -192,20 +192,11 @@ fn main() {
         }
     }
 
-    let serve_model = match model.as_str() {
-        "bag" => ServeModel::Bag {
-            weighting: pmr_bag::WeightingScheme::TFIDF,
-            similarity: pmr_bag::BagSimilarity::Cosine,
-            char_grams: false,
-            n: 1,
-            decay: 0.99,
-        },
-        "graph" => ServeModel::Graph {
-            similarity: pmr_graph::GraphSimilarity::Value,
-            char_grams: false,
-            n: 1,
-        },
-        other => usage(&format!("unknown model {other:?} (bag|graph)")),
+    // `drive` never installs a topic background, so only the gram presets
+    // are served.
+    let serve_model = match pmr_bench::serve_model(&model, seed, 0) {
+        Some(m) if m.online_topic().is_none() => m,
+        _ => usage(&format!("unknown model {model:?} (bag|graph)")),
     };
     let config = EngineConfig { model: serve_model, window };
 
@@ -534,16 +525,8 @@ mod tests {
         let corpus = generate_corpus(&SimConfig::preset(Scale::Smoke.preset(), 42));
         let prepared =
             PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
-        let config = EngineConfig {
-            model: ServeModel::Bag {
-                weighting: pmr_bag::WeightingScheme::TFIDF,
-                similarity: pmr_bag::BagSimilarity::Cosine,
-                char_grams: false,
-                n: 1,
-                decay: 0.99,
-            },
-            window: 128,
-        };
+        let model = pmr_bench::serve_model("bag", 42, 0).expect("bag preset");
+        let config = EngineConfig { model, window: 128 };
         let features = precompute_features(&prepared, config.model, 1);
         let ops = corpus_ops(&prepared.corpus, &features, 10, 25);
         let first_query =

@@ -19,7 +19,7 @@ use serde::Serialize;
 
 use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
-use pmr_serve::{rec_log, EngineConfig, Replay, ReplayOptions, RuntimeOptions, ServeModel};
+use pmr_serve::{rec_log, EngineConfig, Replay, ReplayOptions, RuntimeOptions};
 use pmr_sim::{generate_corpus, SimConfig};
 
 #[derive(Debug, Serialize)]
@@ -136,34 +136,8 @@ fn main() {
         }
     }
 
-    let serve_model = match model.as_str() {
-        "bag" => ServeModel::Bag {
-            weighting: pmr_bag::WeightingScheme::TFIDF,
-            similarity: pmr_bag::BagSimilarity::Cosine,
-            char_grams: false,
-            n: 1,
-            decay: 0.99,
-        },
-        "graph" => ServeModel::Graph {
-            similarity: pmr_graph::GraphSimilarity::Value,
-            char_grams: false,
-            n: 1,
-        },
-        // Paper-style priors (α = 50/K, β = 0.01) at a serving-friendly
-        // budget; `--refresh 0` (the default) keeps the epoch-0 background
-        // for the whole replay.
-        "topic" => ServeModel::Topic {
-            topics: 16,
-            alpha: 50.0 / 16.0,
-            beta: 0.01,
-            train_iterations: 50,
-            foldin_iterations: 8,
-            seed,
-            decay: 0.99,
-            background_refresh: refresh,
-        },
-        other => usage(&format!("unknown model {other:?} (bag|graph|topic)")),
-    };
+    let serve_model = pmr_bench::serve_model(&model, seed, refresh)
+        .unwrap_or_else(|| usage(&format!("unknown model {model:?} (bag|graph|topic)")));
 
     // The injected-clock recorder feeds the `serve.query` histogram and
     // the engine's counters; without it every observation is a no-op.

@@ -187,7 +187,7 @@ fn main() -> std::io::Result<()> {
     if let Some(section) = serving_section(&opts) {
         md.push_str(&section);
     }
-    // Online-vs-batch drift (only when bench_drift wrote one to out_dir).
+    // Online-vs-oracle drift (only when bench_drift wrote one to out_dir).
     if let Some(section) = drift_section(&opts) {
         md.push_str(&section);
     }
@@ -398,9 +398,9 @@ fn serving_section(opts: &HarnessOptions) -> Option<String> {
 /// The "### Online serving quality" section, rendered from the
 /// `BENCH_drift.json` that `bench_drift --out <out_dir>/BENCH_drift.json`
 /// wrote, when present. One row per incremental family (bag, graph,
-/// topic): the replay's online MAP against the batch-oracle MAP over the
-/// *same* candidate sets and relevance labels, so the drift column
-/// isolates what prefix-only observation and decay cost.
+/// topic): the replay's online MAP against the oracle's — the same engine
+/// replayed at decay 1.0 — over the *same* candidate sets and relevance
+/// labels, so the drift column isolates what history decay costs.
 fn drift_section(opts: &HarnessOptions) -> Option<String> {
     let path = opts.out_dir.join("BENCH_drift.json");
     let bytes = std::fs::read(&path).ok()?;
@@ -416,16 +416,20 @@ fn drift_section(opts: &HarnessOptions) -> Option<String> {
     };
 
     let mut md = String::new();
-    let _ = writeln!(md, "\n### Online serving quality — `bench_drift` online-vs-batch MAP\n");
+    let _ = writeln!(md, "\n### Online serving quality — `bench_drift` online-vs-oracle MAP\n");
     let _ = writeln!(
         md,
-        "From `{}`: scale `{}` seed {}, window {}, one query per {} events, \
-         topic refresh {}. Each family's replayed rec log (k = window, so \
-         every query logs its full candidate pool) is re-ranked by a batch \
-         oracle — the same incremental model fed every original the user \
-         ever retweeted, undecayed — over identical candidates, relevance \
-         labels and tie-breaking. Drift = online − batch MAP; zero-relevance \
-         queries are excluded from both sides.\n",
+        "From `{}`: scale `{}` seed {}, window {}, one query per {} event(s), \
+         topic refresh {}. Each family is replayed twice with k = window, so \
+         every query logs its full candidate pool: once with its serving \
+         preset and once with the same preset at decay 1.0 (the oracle). \
+         Both are the engine itself, so each query sees only the retweets \
+         ingested before it; the two logs must pair up query by query \
+         (same user, time and candidate set). Drift = online − oracle MAP, \
+         the cost of history decay alone, over identical relevance labels \
+         and tie-breaking; zero-relevance queries are excluded from both \
+         sides. ±95% is 1.96·s/√n over the per-query AP differences; p is \
+         a paired randomization test.\n",
         path.display(),
         v.get("scale").and_then(Value::as_str).unwrap_or("?"),
         int(&v, "seed").unwrap_or(0),
@@ -433,18 +437,21 @@ fn drift_section(opts: &HarnessOptions) -> Option<String> {
         int(&v, "query_every").unwrap_or(0),
         int(&v, "refresh").unwrap_or(0),
     );
-    let _ = writeln!(md, "| Model | Queries | Scored | Online MAP | Batch MAP | Drift |");
-    let _ = writeln!(md, "|---|---|---|---|---|---|");
+    let _ =
+        writeln!(md, "| Model | Queries | Scored | Online MAP | Oracle MAP | Drift | ±95% | p |");
+    let _ = writeln!(md, "|---|---|---|---|---|---|---|---|");
     for family in v.get("families").and_then(Value::as_array).unwrap_or(&[]) {
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {:.3} | {:.3} | {:+.3} |",
+            "| {} | {} | {} | {:.3} | {:.3} | {:+.3} | {} | {:.3} |",
             family.get("model").and_then(Value::as_str).unwrap_or("?"),
             int(family, "queries").unwrap_or(0),
             int(family, "scored_queries").unwrap_or(0),
             float(family, "online_map").unwrap_or(0.0),
-            float(family, "batch_map").unwrap_or(0.0),
+            float(family, "oracle_map").unwrap_or(0.0),
             float(family, "drift").unwrap_or(0.0),
+            float(family, "ci95_half_width").map_or_else(|| "—".to_owned(), |w| format!("{w:.3}")),
+            float(family, "p_value").unwrap_or(1.0),
         );
     }
     Some(md)

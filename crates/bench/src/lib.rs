@@ -18,6 +18,9 @@
 //! users and stores per-user APs; group-level MAPs (All/IS/BU/IP) are
 //! derived from those — valid because the paper, too, trains topic models
 //! on the train sets of *all* users and context models per user.
+//!
+//! The serving binaries (`bench_serve`, `bench_load`, `bench_drift`) share
+//! one preset per incremental model family: [`serve_model`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -25,3 +28,40 @@
 pub mod harness;
 
 pub use harness::{HarnessOptions, Scale, SweepCache};
+
+use pmr_serve::ServeModel;
+
+/// The serving preset of the incremental family `name` (`bag`, `graph` or
+/// `topic`), or `None` for any other name.
+///
+/// Topic uses paper-style priors (α = 50/K, β = 0.01) at a
+/// serving-friendly budget, sampling under `seed`; `refresh` is its
+/// background retrain cadence in events (0 keeps the epoch-0 background
+/// for the whole replay). The gram families ignore both.
+pub fn serve_model(name: &str, seed: u64, refresh: u64) -> Option<ServeModel> {
+    Some(match name {
+        "bag" => ServeModel::Bag {
+            weighting: pmr_bag::WeightingScheme::TFIDF,
+            similarity: pmr_bag::BagSimilarity::Cosine,
+            char_grams: false,
+            n: 1,
+            decay: 0.99,
+        },
+        "graph" => ServeModel::Graph {
+            similarity: pmr_graph::GraphSimilarity::Value,
+            char_grams: false,
+            n: 1,
+        },
+        "topic" => ServeModel::Topic {
+            topics: 16,
+            alpha: 50.0 / 16.0,
+            beta: 0.01,
+            train_iterations: 50,
+            foldin_iterations: 8,
+            seed,
+            decay: 0.99,
+            background_refresh: refresh,
+        },
+        _ => return None,
+    })
+}
