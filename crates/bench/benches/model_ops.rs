@@ -6,7 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pmr_bag::{BagSimilarity, BagVectorizer, WeightingScheme};
-use pmr_graph::{GraphSimilarity, GraphSpace, NGramGraph};
+use pmr_graph::{GraphSimilarity, NGramGraph};
+use pmr_text::vocab::{TermId, Vocabulary};
 use pmr_text::{char_ngrams, token_ngrams, Tokenizer};
 use pmr_topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, TopicCorpus, TopicModel};
 
@@ -70,29 +71,34 @@ fn bench_bag(c: &mut Criterion) {
     group.finish();
 }
 
+/// Intern a document's grams into the shared gram-id space and build its
+/// graph.
+fn graph_of(space: &mut Vocabulary, grams: &[String]) -> NGramGraph {
+    let ids: Vec<TermId> = grams.iter().map(|g| space.intern(g)).collect();
+    NGramGraph::from_ids(&ids, 3)
+}
+
 fn bench_graph(c: &mut Criterion) {
     let texts = sample_texts(150);
     let docs: Vec<Vec<String>> =
         texts.iter().map(|t| t.split_whitespace().map(str::to_owned).collect()).collect();
     c.bench_function("graph_build_and_merge_150_docs", |b| {
         b.iter(|| {
-            let mut space = GraphSpace::new();
+            let mut space = Vocabulary::new();
             let mut user = NGramGraph::new();
             for d in &docs {
-                let grams = token_ngrams(d, 3);
-                let g = space.graph_from_grams(&grams, 3);
+                let g = graph_of(&mut space, &token_ngrams(d, 3));
                 user.merge(&g);
             }
             user.size()
         })
     });
-    let mut space = GraphSpace::new();
+    let mut space = Vocabulary::new();
     let mut user = NGramGraph::new();
     for d in &docs {
-        let grams = token_ngrams(d, 3);
-        user.merge(&space.graph_from_grams(&grams, 3));
+        user.merge(&graph_of(&mut space, &token_ngrams(d, 3)));
     }
-    let probe = space.graph_from_grams(&token_ngrams(&docs[0], 3), 3);
+    let probe = graph_of(&mut space, &token_ngrams(&docs[0], 3));
     let mut group = c.benchmark_group("graph_similarity");
     for sim in
         [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]

@@ -32,6 +32,12 @@ pub enum PmrError {
         /// The serializer's message.
         detail: String,
     },
+    /// A configuration names a value its component cannot run with (e.g.
+    /// a history decay outside (0, 1]).
+    Config {
+        /// Which value, and why it is rejected.
+        detail: String,
+    },
     /// A serving-engine worker died mid-stream (a panic in a shard), so
     /// the engine can no longer answer queries or snapshot barriers.
     EngineAborted {
@@ -57,6 +63,7 @@ impl fmt::Display for PmrError {
                 write!(f, "user {user} has a degenerate timeline: {detail}")
             }
             PmrError::Serialize { detail } => write!(f, "serialization failed: {detail}"),
+            PmrError::Config { detail } => write!(f, "invalid configuration: {detail}"),
             PmrError::EngineAborted { detail } => {
                 write!(f, "serving engine aborted: {detail}")
             }

@@ -70,7 +70,8 @@ pub struct GramTable {
     ids: Vec<TermId>,
     /// One past-the-end offset per tweet (`len = docs + 1`).
     offsets: Vec<usize>,
-    /// Gram id ↔ surface form (the graph models need the strings back).
+    /// Gram id ↔ surface form. Every model reads ids only; the strings
+    /// stay here.
     vocab: Vocabulary,
 }
 
@@ -122,12 +123,6 @@ impl GramTable {
     /// The surface form of a gram id.
     pub fn term(&self, id: TermId) -> &str {
         self.vocab.term(id)
-    }
-
-    /// A tweet's gram surface forms (allocates the `Vec` of borrowed
-    /// strings only; the strings themselves live in the table).
-    pub fn doc_terms(&self, id: TweetId) -> Vec<&str> {
-        self.doc(id).iter().map(|&g| self.vocab.term(g)).collect()
     }
 
     /// Approximate resident size, for the `features.bytes` gauge.
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(t.doc(TweetId(0)), &[0, 1, 0]);
         assert_eq!(t.doc(TweetId(1)), &[] as &[TermId]);
         assert_eq!(t.doc(TweetId(2)), &[1, 2]);
-        assert_eq!(t.doc_terms(TweetId(2)), vec!["b", "c"]);
+        assert_eq!((t.term(1), t.term(2)), ("b", "c"));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use error::{PmrError, PmrResult};
 pub use eval::{average_precision, map_deviation, mean_average_precision};
 pub use experiment::{ExperimentRunner, RunnerOptions, SweepResult};
 pub use features::{FeatureCache, GramKind, GramTable};
-pub use online::{OnlineBagModel, OnlineGraphModel, OnlineProfile};
+pub use online::{OnlineGraphModel, OnlineProfile};
 pub use prepare::PreparedCorpus;
 pub use ranking::rank_cmp;
 pub use recommender::{score_configuration, RetrievalMode};

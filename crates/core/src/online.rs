@@ -12,21 +12,25 @@
 //!   is already incremental by construction (its learning factor
 //!   `1/(k+1)` is the running-average schedule).
 //!
-//! Both variants score candidates with the same similarity measures as the
-//! batch models, so an online model converges to its batch counterpart on a
-//! static stream.
+//! Neither variant owns a feature space. Documents arrive already built —
+//! unit vectors over a shared `pmr_bag::IndexedVectorizer`, graphs over one
+//! shared gram-id space — so every user of a serving engine scores the same
+//! document features, and scoring reads the model without changing it. Both
+//! variants score with the batch models' similarity measures, so an online
+//! model converges to its batch counterpart on a static stream.
 
-use pmr_bag::{BagSimilarity, BagVectorizer, SparseVector};
-use pmr_graph::{GraphSimilarity, GraphSpace, NGramGraph};
+use pmr_bag::SparseVector;
+use pmr_graph::{GraphSimilarity, NGramGraph};
 use serde::{Deserialize, Serialize};
 
-/// The vectorizer-free core of an online bag model: an exponentially
-/// decayed sum of unit document vectors.
+/// An online bag user model: an exponentially decayed sum of unit document
+/// vectors.
 ///
-/// Extracted from [`OnlineBagModel`] so a serving engine with one *shared*
-/// feature space (`pmr_bag::IndexedVectorizer`) can keep a profile per user
-/// without cloning a vectorizer into each of them; the caller supplies
-/// already-transformed, unit-normalized vectors.
+/// The caller supplies already-transformed, unit-normalized vectors over
+/// one shared vectorizer and scores candidates through a
+/// `pmr_bag::ScoringKernel` built over [`OnlineProfile::vector`], so a
+/// serving engine keeps a profile per user without cloning a vectorizer
+/// into each of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineProfile {
     /// Decay multiplier applied to the accumulated model before each
@@ -71,81 +75,33 @@ impl OnlineProfile {
     }
 }
 
-/// An incrementally-updated bag user model over a fixed vectorizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OnlineBagModel {
-    vectorizer: BagVectorizer,
-    similarity: BagSimilarity,
-    profile: OnlineProfile,
-}
-
-impl OnlineBagModel {
-    /// Start an empty model over a fitted vectorizer.
-    ///
-    /// `decay` ∈ (0, 1]; see [`OnlineProfile::new`].
-    pub fn new(vectorizer: BagVectorizer, similarity: BagSimilarity, decay: f32) -> Self {
-        OnlineBagModel { vectorizer, similarity, profile: OnlineProfile::new(decay) }
-    }
-
-    /// Fold one observed document (its n-gram list) into the model.
-    pub fn observe<S: AsRef<str>>(&mut self, grams: &[S]) {
-        let v = self.vectorizer.transform(grams).normalized();
-        self.profile.observe_unit(&v);
-    }
-
-    /// Score a candidate document against the current model.
-    ///
-    /// The candidate is unit-normalized exactly like every observed
-    /// document, so both sides of the comparison live at the same scale.
-    /// Cosine is scale-invariant and never noticed, but the Jaccard-family
-    /// measures are magnitude-sensitive: an unnormalized candidate would
-    /// make a document's self-similarity depend on its raw norm.
-    pub fn score<S: AsRef<str>>(&self, grams: &[S]) -> f64 {
-        let v = self.vectorizer.transform(grams).normalized();
-        self.similarity.compare(self.profile.vector(), &v)
-    }
-
-    /// Number of observed documents.
-    pub fn documents(&self) -> usize {
-        self.profile.documents()
-    }
-
-    /// The current (unnormalized) model vector.
-    pub fn model(&self) -> &SparseVector {
-        self.profile.vector()
-    }
-
-    /// The similarity the model scores under.
-    pub fn similarity(&self) -> BagSimilarity {
-        self.similarity
-    }
-}
-
-/// An incrementally-updated n-gram graph user model.
+/// An incrementally-updated n-gram graph user model: the user's merged
+/// graph and the similarity it scores under.
+///
+/// Observed and scored document graphs must share the user graph's gram-id
+/// space; serving builds every original tweet's graph once, over one space
+/// for the whole engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineGraphModel {
-    space: GraphSpace,
     similarity: GraphSimilarity,
-    window: usize,
     user: NGramGraph,
 }
 
 impl OnlineGraphModel {
-    /// Start an empty model. `window` is the co-occurrence window (= n).
-    pub fn new(similarity: GraphSimilarity, window: usize) -> Self {
-        OnlineGraphModel { space: GraphSpace::new(), similarity, window, user: NGramGraph::new() }
+    /// Start an empty model.
+    pub fn new(similarity: GraphSimilarity) -> Self {
+        OnlineGraphModel { similarity, user: NGramGraph::new() }
     }
 
-    /// Fold one observed document into the model via the update operator.
-    pub fn observe<S: AsRef<str>>(&mut self, grams: &[S]) {
-        let g = self.space.graph_from_grams(grams, self.window);
-        self.user.merge(&g);
+    /// Fold one observed document graph into the model via the update
+    /// operator.
+    pub fn observe(&mut self, doc: &NGramGraph) {
+        self.user.merge(doc);
     }
 
-    /// Score a candidate document against the current model.
-    pub fn score<S: AsRef<str>>(&mut self, grams: &[S]) -> f64 {
-        let g = self.space.graph_from_grams(grams, self.window);
-        self.similarity.compare(&self.user, &g)
+    /// Score a candidate document graph against the current model.
+    pub fn score(&self, doc: &NGramGraph) -> f64 {
+        self.similarity.compare(&self.user, doc)
     }
 
     /// Number of observed documents.
@@ -157,45 +113,78 @@ impl OnlineGraphModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmr_bag::{AggregationFunction, WeightingScheme};
+    use pmr_bag::{AggregationFunction, BagSimilarity, IndexedVectorizer, WeightingScheme};
+    use pmr_text::vocab::{TermId, Vocabulary};
 
-    fn docs() -> Vec<Vec<String>> {
-        let d = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
-        vec![d("cats purr softly"), d("cats nap often"), d("rust code compiles")]
+    /// The serving path's bag model: a profile fed unit vectors over one
+    /// shared `IndexedVectorizer`, scored through a `ScoringKernel` with the
+    /// candidate normalized like every observation.
+    pub(super) struct Served {
+        pub(super) vectorizer: IndexedVectorizer,
+        pub(super) similarity: BagSimilarity,
+        pub(super) profile: OnlineProfile,
+    }
+
+    impl Served {
+        pub(super) fn observe(&mut self, doc: &[TermId]) {
+            self.profile.observe_unit(&self.vectorizer.transform(doc).normalized());
+        }
+
+        pub(super) fn score(&self, doc: &[TermId]) -> f64 {
+            let kernel = pmr_bag::ScoringKernel::new(self.similarity, self.profile.vector());
+            kernel.score(&self.vectorizer.transform(doc).normalized())
+        }
+    }
+
+    /// `text`'s whitespace tokens, interned into `vocab`.
+    pub(super) fn ids(vocab: &mut Vocabulary, text: &str) -> Vec<TermId> {
+        text.split_whitespace().map(|g| vocab.intern(g)).collect()
+    }
+
+    fn docs(vocab: &mut Vocabulary) -> Vec<Vec<TermId>> {
+        ["cats purr softly", "cats nap often", "rust code compiles"]
+            .iter()
+            .map(|d| ids(vocab, d))
+            .collect()
+    }
+
+    pub(super) fn served(train: &[Vec<TermId>], similarity: BagSimilarity, decay: f32) -> Served {
+        let vectorizer = IndexedVectorizer::fit(WeightingScheme::TF, train);
+        Served { vectorizer, similarity, profile: OnlineProfile::new(decay) }
     }
 
     #[test]
     fn online_centroid_matches_batch_centroid_without_decay() {
-        let train = docs();
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TF, train.iter());
-        let mut online = OnlineBagModel::new(vectorizer.clone(), BagSimilarity::Cosine, 1.0);
+        let mut vocab = Vocabulary::new();
+        let train = docs(&mut vocab);
+        let mut online = served(&train, BagSimilarity::Cosine, 1.0);
         for d in &train {
             online.observe(d);
         }
-        let vectors: Vec<SparseVector> = train.iter().map(|d| vectorizer.transform(d)).collect();
+        let vectors: Vec<SparseVector> =
+            train.iter().map(|d| online.vectorizer.transform(d)).collect();
         let batch = AggregationFunction::Centroid.aggregate(&vectors, &[]);
         // Online accumulates the *sum* of unit vectors; the centroid divides
         // by |D| — a scale factor cosine ignores.
-        let probe = vec!["cats".to_owned(), "purr".to_owned()];
+        let probe = ids(&mut vocab, "cats purr");
         let online_score = online.score(&probe);
-        let batch_score = BagSimilarity::Cosine.compare(&batch, &vectorizer.transform(&probe));
+        let batch_score =
+            BagSimilarity::Cosine.compare(&batch, &online.vectorizer.transform(&probe));
         assert!((online_score - batch_score).abs() < 1e-6);
     }
 
     #[test]
     fn decay_forgets_old_interests() {
-        let train = docs();
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TF, train.iter());
-        let mut fast_forget = OnlineBagModel::new(vectorizer.clone(), BagSimilarity::Cosine, 0.2);
-        let mut no_forget = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 1.0);
+        let mut vocab = Vocabulary::new();
         // Old interest: cats. New interest: rust.
-        let seq = ["cats purr softly", "cats nap often", "rust code compiles"];
-        for s in seq {
-            let grams: Vec<String> = s.split_whitespace().map(str::to_owned).collect();
-            fast_forget.observe(&grams);
-            no_forget.observe(&grams);
+        let train = docs(&mut vocab);
+        let mut fast_forget = served(&train, BagSimilarity::Cosine, 0.2);
+        let mut no_forget = served(&train, BagSimilarity::Cosine, 1.0);
+        for d in &train {
+            fast_forget.observe(d);
+            no_forget.observe(d);
         }
-        let cats = vec!["cats".to_owned(), "purr".to_owned()];
+        let cats = ids(&mut vocab, "cats purr");
         assert!(
             fast_forget.score(&cats) < no_forget.score(&cats),
             "decayed model must care less about stale interests"
@@ -204,14 +193,14 @@ mod tests {
 
     #[test]
     fn online_graph_tracks_observed_content() {
-        let mut model = OnlineGraphModel::new(GraphSimilarity::Value, 2);
-        for d in docs() {
-            model.observe(&d);
+        let mut vocab = Vocabulary::new();
+        let mut model = OnlineGraphModel::new(GraphSimilarity::Value);
+        for d in docs(&mut vocab) {
+            model.observe(&NGramGraph::from_ids(&d, 2));
         }
         assert_eq!(model.documents(), 3);
-        let seen: Vec<String> = "cats purr softly".split_whitespace().map(str::to_owned).collect();
-        let unseen: Vec<String> =
-            "quantum flux capacitor".split_whitespace().map(str::to_owned).collect();
+        let seen = NGramGraph::from_ids(&ids(&mut vocab, "cats purr softly"), 2);
+        let unseen = NGramGraph::from_ids(&ids(&mut vocab, "quantum flux capacitor"), 2);
         assert!(model.score(&seen) > model.score(&unseen));
         assert_eq!(model.score(&unseen), 0.0);
     }
@@ -220,36 +209,31 @@ mod tests {
     fn generalized_jaccard_self_similarity_is_one() {
         // With the candidate normalized like the observations, one observed
         // document compared against itself is a comparison of identical
-        // unit vectors — self-similarity 1 for the Jaccard family, which
-        // the old unnormalized-candidate path violated.
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TF, docs().iter());
-        let mut online = OnlineBagModel::new(vectorizer, BagSimilarity::GeneralizedJaccard, 1.0);
-        let d: Vec<String> = "cats purr softly".split_whitespace().map(str::to_owned).collect();
-        online.observe(&d);
-        let s = online.score(&d);
+        // unit vectors — self-similarity 1 for the Jaccard family, which an
+        // unnormalized candidate would violate.
+        let mut vocab = Vocabulary::new();
+        let train = docs(&mut vocab);
+        let mut online = served(&train, BagSimilarity::GeneralizedJaccard, 1.0);
+        online.observe(&train[0]);
+        let s = online.score(&train[0]);
         assert!((s - 1.0).abs() < 1e-6, "self-similarity must be 1, got {s}");
     }
 
     #[test]
     fn online_graph_converges_to_batch_on_a_static_stream() {
-        let train = docs();
-        let mut online = OnlineGraphModel::new(GraphSimilarity::Value, 2);
-        for d in &train {
-            online.observe(d);
-        }
-        // The batch counterpart: merge every document graph over a shared
-        // space in one pass, exactly as the batch recommender builds its
-        // user graphs.
-        let mut space = GraphSpace::new();
+        let mut vocab = Vocabulary::new();
+        let train = docs(&mut vocab);
+        let mut online = OnlineGraphModel::new(GraphSimilarity::Value);
+        // The batch counterpart: merge every document graph in one pass,
+        // exactly as the batch recommender builds its user graphs.
         let mut batch = NGramGraph::new();
         for d in &train {
-            let g = space.graph_from_grams(d, 2);
-            batch.merge(&g);
+            online.observe(&NGramGraph::from_ids(d, 2));
+            batch.merge(&NGramGraph::from_ids(d, 2));
         }
         for probe in ["cats purr softly", "rust code compiles", "cats nap rust"] {
-            let grams: Vec<String> = probe.split_whitespace().map(str::to_owned).collect();
-            let got = online.score(&grams);
-            let g = space.graph_from_grams(&grams, 2);
+            let g = NGramGraph::from_ids(&ids(&mut vocab, probe), 2);
+            let got = online.score(&g);
             let want = GraphSimilarity::Value.compare(&batch, &g);
             assert!(
                 (got - want).abs() < 1e-9,
@@ -260,24 +244,29 @@ mod tests {
 
     #[test]
     fn empty_models_score_zero() {
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TF, docs().iter());
-        let online = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 1.0);
-        assert_eq!(online.score(&["cats".to_owned()]), 0.0);
-        assert_eq!(online.documents(), 0);
+        let mut vocab = Vocabulary::new();
+        let train = docs(&mut vocab);
+        let online = served(&train, BagSimilarity::Cosine, 1.0);
+        assert_eq!(online.score(&ids(&mut vocab, "cats")), 0.0);
+        assert_eq!(online.profile.documents(), 0);
+        let graph = OnlineGraphModel::new(GraphSimilarity::Value);
+        assert_eq!(graph.score(&NGramGraph::from_ids(&train[0], 2)), 0.0);
+        assert_eq!(graph.documents(), 0);
     }
 
     #[test]
     #[should_panic(expected = "decay must be in (0, 1]")]
     fn zero_decay_is_rejected() {
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TF, docs().iter());
-        let _ = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 0.0);
+        let _ = OnlineProfile::new(0.0);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{ids, served};
     use super::*;
-    use pmr_bag::{AggregationFunction, WeightingScheme};
+    use pmr_bag::{AggregationFunction, BagSimilarity};
+    use pmr_text::vocab::{TermId, Vocabulary};
     use proptest::prelude::*;
 
     fn arb_doc() -> impl Strategy<Value = Vec<String>> {
@@ -295,11 +284,15 @@ mod proptests {
             train in proptest::collection::vec(arb_doc(), 1..8),
             probes in proptest::collection::vec(arb_doc(), 2..6),
         ) {
-            let vectorizer = BagVectorizer::fit(WeightingScheme::TF, train.iter());
-            let mut online = OnlineBagModel::new(vectorizer.clone(), BagSimilarity::Cosine, 1.0);
+            let mut vocab = Vocabulary::new();
+            let mut intern = |doc: &Vec<String>| ids(&mut vocab, &doc.join(" "));
+            let train: Vec<Vec<TermId>> = train.iter().map(&mut intern).collect();
+            let probes: Vec<Vec<TermId>> = probes.iter().map(&mut intern).collect();
+            let mut online = served(&train, BagSimilarity::Cosine, 1.0);
             for d in &train {
                 online.observe(d);
             }
+            let vectorizer = &online.vectorizer;
             let vectors: Vec<SparseVector> =
                 train.iter().map(|d| vectorizer.transform(d)).collect();
             let batch = AggregationFunction::Centroid.aggregate(&vectors, &[]);

@@ -175,9 +175,9 @@ pub fn score_configuration(
             context_scores(prepared, source, users, |train, test, _pos_flags| {
                 let t0 = Instant::now();
                 // Vertex ids: the table's gram ids remapped in first-seen
-                // order, which are the ids a per-user `GraphSpace`
-                // interning the gram strings would assign. Edge keys, and
-                // with them the similarities' summation order, match.
+                // order over this user's documents, which are the ids a
+                // per-user string interner would assign. Edge keys, and with
+                // them the similarities' summation order, match.
                 let mut vertices = LocalIds::new();
                 let mut user_model = NGramGraph::new();
                 for &id in train {
@@ -536,8 +536,8 @@ mod tests {
 
     #[test]
     fn local_ids_build_the_graphs_the_string_interner_builds() {
-        use pmr_graph::GraphSpace;
         use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
+        use pmr_text::vocab::Vocabulary;
 
         let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 99));
         let prepared = PreparedCorpus::new(corpus, crate::SplitConfig::default())
@@ -555,14 +555,17 @@ mod tests {
                     .train_ids(&prepared.corpus, user, RepresentationSource::R)
                     .into_iter()
                     .chain(user_split.test_docs());
-                let mut space = GraphSpace::new();
+                // The reference interns the gram strings themselves.
+                let mut space = Vocabulary::new();
                 let mut vertices = LocalIds::new();
                 let (mut by_ids, mut by_strings) = (NGramGraph::new(), NGramGraph::new());
                 for id in docs {
                     let local: Vec<TermId> =
                         table.doc(id).iter().map(|&g| vertices.intern(g)).collect();
                     let g = NGramGraph::from_ids(&local, n);
-                    let h = space.graph_from_grams(&table.doc_terms(id), n);
+                    let strings: Vec<TermId> =
+                        table.doc(id).iter().map(|&g| space.intern(table.term(g))).collect();
+                    let h = NGramGraph::from_ids(&strings, n);
                     assert_eq!(bits(&g), bits(&h), "{kind:?} n={n}, user {user:?}, tweet {id:?}");
                     by_ids.merge(&g);
                     by_strings.merge(&h);

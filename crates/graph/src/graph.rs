@@ -9,7 +9,9 @@
 use serde::value::{expect_field, expect_object};
 use serde::{Deserialize, Error, Serialize, Value};
 
-use pmr_text::vocab::{TermId, Vocabulary};
+use pmr_text::vocab::TermId;
+#[cfg(test)]
+use pmr_text::vocab::Vocabulary;
 
 /// Packs an undirected edge into a single key with the smaller endpoint in
 /// the high half, making `(a, b)` and `(b, a)` identical.
@@ -23,45 +25,12 @@ fn edge_endpoints(key: u64) -> (TermId, TermId) {
     ((key >> 32) as TermId, (key & 0xFFFF_FFFF) as TermId)
 }
 
-/// A shared interning space so that graphs built from different documents
-/// use the same vertex ids and can be compared edge-by-edge.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GraphSpace {
-    vocab: Vocabulary,
-}
-
-impl GraphSpace {
-    /// An empty space.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct n-grams interned so far.
-    pub fn len(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// Whether no n-gram has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.vocab.is_empty()
-    }
-
-    /// The vertex ids of an ordered n-gram sequence; grams not seen before
-    /// get the next ids, in order of first appearance.
-    pub fn intern<S: AsRef<str>>(&mut self, grams: &[S]) -> Vec<TermId> {
-        grams.iter().map(|g| self.vocab.intern(g.as_ref())).collect()
-    }
-
-    /// Build the graph of a document from its ordered n-gram sequence:
-    /// [`GraphSpace::intern`], then [`NGramGraph::from_ids`].
-    pub fn graph_from_grams<S: AsRef<str>>(&mut self, grams: &[S], window: usize) -> NGramGraph {
-        NGramGraph::from_ids(&self.intern(grams), window)
-    }
-}
-
 /// An undirected weighted n-gram graph (a document model or, after merging,
 /// a user model).
-#[derive(Debug, Clone, Default)]
+///
+/// Graphs compare edge by edge, so every graph compared with another must
+/// take its vertex ids from the same gram-id space.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NGramGraph {
     /// `(edge key, weight)`, strictly ascending by key.
     edges: Vec<(u64, f32)>,
@@ -215,6 +184,18 @@ impl Deserialize for NGramGraph {
     }
 }
 
+/// Test support: intern `grams` into `vocab` (one gram-id space shared by
+/// every graph built through it) and build the document graph.
+#[cfg(test)]
+pub(crate) fn graph_of<S: AsRef<str>>(
+    vocab: &mut Vocabulary,
+    grams: &[S],
+    window: usize,
+) -> NGramGraph {
+    let ids: Vec<TermId> = grams.iter().map(|g| vocab.intern(g.as_ref())).collect();
+    NGramGraph::from_ids(&ids, window)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,8 +213,8 @@ mod tests {
 
     #[test]
     fn window_one_connects_adjacent_grams() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams(&grams("a b c"), 1);
+        let mut space = Vocabulary::new();
+        let g = graph_of(&mut space, &grams("a b c"), 1);
         assert_eq!(g.size(), 2); // a-b, b-c
         let a = 0;
         let b = 1;
@@ -245,23 +226,23 @@ mod tests {
 
     #[test]
     fn window_two_reaches_one_further() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams(&grams("a b c"), 2);
+        let mut space = Vocabulary::new();
+        let g = graph_of(&mut space, &grams("a b c"), 2);
         assert_eq!(g.size(), 3); // a-b, a-c, b-c
     }
 
     #[test]
     fn repeated_cooccurrence_increases_weight() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams(&grams("a b a b"), 1);
+        let mut space = Vocabulary::new();
+        let g = graph_of(&mut space, &grams("a b a b"), 1);
         // Adjacent pairs: (a,b), (b,a), (a,b) — all the same undirected edge.
         assert_eq!(g.weight(0, 1), 3.0);
     }
 
     #[test]
     fn same_gram_twice_in_window_forms_self_edge() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams(&grams("a a"), 1);
+        let mut space = Vocabulary::new();
+        let g = graph_of(&mut space, &grams("a a"), 1);
         assert_eq!(g.weight(0, 0), 1.0);
     }
 
@@ -270,22 +251,22 @@ mod tests {
         // "bob sues" vs "sues bob": same grams, different *edges* only if
         // window < distance; with bigram tokens the graphs coincide, but
         // with the grams of a longer phrase they differ.
-        let mut space = GraphSpace::new();
-        let g1 = space.graph_from_grams(&grams("bob sues jim"), 1);
-        let g2 = space.graph_from_grams(&grams("jim sues bob"), 1);
+        let mut space = Vocabulary::new();
+        let g1 = graph_of(&mut space, &grams("bob sues jim"), 1);
+        let g2 = graph_of(&mut space, &grams("jim sues bob"), 1);
         // Both contain bob-sues and sues-jim edges (undirected), so these
         // tiny graphs coincide; global context shows up through *window*
         // composition:
-        let g3 = space.graph_from_grams(&grams("bob sues jim hard"), 1);
+        let g3 = graph_of(&mut space, &grams("bob sues jim hard"), 1);
         assert!(g1.size() == g2.size());
         assert!(g3.size() > g1.size());
     }
 
     #[test]
     fn merge_averages_weights() {
-        let mut space = GraphSpace::new();
-        let d1 = space.graph_from_grams(&grams("a b"), 1); // a-b: 1
-        let d2 = space.graph_from_grams(&grams("a b a b"), 1); // a-b: 3
+        let mut space = Vocabulary::new();
+        let d1 = graph_of(&mut space, &grams("a b"), 1); // a-b: 1
+        let d2 = graph_of(&mut space, &grams("a b a b"), 1); // a-b: 3
         let mut user = NGramGraph::new();
         user.merge(&d1);
         assert_eq!(user.weight(0, 1), 1.0);
@@ -296,9 +277,9 @@ mod tests {
 
     #[test]
     fn merge_dilutes_edges_missing_from_new_docs() {
-        let mut space = GraphSpace::new();
-        let d1 = space.graph_from_grams(&grams("a b"), 1);
-        let d2 = space.graph_from_grams(&grams("c d"), 1);
+        let mut space = Vocabulary::new();
+        let d1 = graph_of(&mut space, &grams("a b"), 1);
+        let d2 = graph_of(&mut space, &grams("c d"), 1);
         let mut user = NGramGraph::new();
         user.merge(&d1);
         user.merge(&d2);
@@ -309,8 +290,8 @@ mod tests {
 
     #[test]
     fn merge_into_empty_is_identity() {
-        let mut space = GraphSpace::new();
-        let d = space.graph_from_grams(&grams("a b c"), 2);
+        let mut space = Vocabulary::new();
+        let d = graph_of(&mut space, &grams("a b c"), 2);
         let mut user = NGramGraph::new();
         user.merge(&d);
         assert_eq!(user.size(), d.size());
@@ -370,10 +351,10 @@ mod tests {
 
     #[test]
     fn empty_gram_sequences_yield_empty_graphs() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams::<String>(&[], 3);
+        let mut space = Vocabulary::new();
+        let g = graph_of::<String>(&mut space, &[], 3);
         assert!(g.is_empty());
-        let g = space.graph_from_grams(&grams("solo"), 3);
+        let g = graph_of(&mut space, &grams("solo"), 3);
         assert!(g.is_empty(), "a single gram has no co-occurrences");
     }
 }
@@ -392,9 +373,9 @@ mod proptests {
                 proptest::collection::vec("[ab]{1,2}", 2..8), 1..6),
             window in 1usize..3,
         ) {
-            let mut space = GraphSpace::new();
+            let mut space = Vocabulary::new();
             let doc_graphs: Vec<NGramGraph> =
-                docs.iter().map(|d| space.graph_from_grams(d, window)).collect();
+                docs.iter().map(|d| graph_of(&mut space, d, window)).collect();
             let mut user = NGramGraph::new();
             for g in &doc_graphs {
                 user.merge(g);
@@ -410,8 +391,8 @@ mod proptests {
         /// Graph size is bounded by the number of windowed pairs.
         #[test]
         fn size_is_bounded(dgrams in proptest::collection::vec("[a-d]{1,2}", 0..20), window in 1usize..4) {
-            let mut space = GraphSpace::new();
-            let g = space.graph_from_grams(&dgrams, window);
+            let mut space = Vocabulary::new();
+            let g = graph_of(&mut space, &dgrams, window);
             let max_pairs: usize = (0..dgrams.len())
                 .map(|i| dgrams.len().min(i + window + 1) - i - 1)
                 .sum();

@@ -22,5 +22,5 @@ pub mod graph;
 mod reference;
 pub mod similarity;
 
-pub use graph::{GraphSpace, NGramGraph};
+pub use graph::NGramGraph;
 pub use similarity::GraphSimilarity;

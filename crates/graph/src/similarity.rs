@@ -114,7 +114,8 @@ pub fn normalized_value(a: &NGramGraph, b: &NGramGraph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphSpace;
+    use crate::graph::graph_of;
+    use pmr_text::vocab::Vocabulary;
 
     fn grams(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -122,8 +123,8 @@ mod tests {
 
     #[test]
     fn identical_graphs_score_one() {
-        let mut space = GraphSpace::new();
-        let g = space.graph_from_grams(&grams("a b c d"), 2);
+        let mut space = Vocabulary::new();
+        let g = graph_of(&mut space, &grams("a b c d"), 2);
         for s in
             [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
         {
@@ -133,9 +134,9 @@ mod tests {
 
     #[test]
     fn disjoint_graphs_score_zero() {
-        let mut space = GraphSpace::new();
-        let a = space.graph_from_grams(&grams("a b"), 1);
-        let b = space.graph_from_grams(&grams("c d"), 1);
+        let mut space = Vocabulary::new();
+        let a = graph_of(&mut space, &grams("a b"), 1);
+        let b = graph_of(&mut space, &grams("c d"), 1);
         for s in
             [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
         {
@@ -146,8 +147,8 @@ mod tests {
     #[test]
     fn empty_graphs_score_zero() {
         let g = NGramGraph::new();
-        let mut space = GraphSpace::new();
-        let h = space.graph_from_grams(&grams("a b"), 1);
+        let mut space = Vocabulary::new();
+        let h = graph_of(&mut space, &grams("a b"), 1);
         for s in
             [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
         {
@@ -158,9 +159,9 @@ mod tests {
 
     #[test]
     fn containment_ignores_weights() {
-        let mut space = GraphSpace::new();
-        let a = space.graph_from_grams(&grams("a b a b a b"), 1); // heavy a-b
-        let b = space.graph_from_grams(&grams("a b"), 1); // light a-b
+        let mut space = Vocabulary::new();
+        let a = graph_of(&mut space, &grams("a b a b a b"), 1); // heavy a-b
+        let b = graph_of(&mut space, &grams("a b"), 1); // light a-b
         assert!((containment(&a, &b) - 1.0).abs() < 1e-9);
         // VS sees the weight imbalance (1 vs 5).
         assert!(value(&a, &b) < 1.0);
@@ -168,19 +169,19 @@ mod tests {
 
     #[test]
     fn ns_softens_size_imbalance() {
-        let mut space = GraphSpace::new();
+        let mut space = Vocabulary::new();
         // Small graph fully contained in a big one.
-        let small = space.graph_from_grams(&grams("a b"), 1);
-        let big = space.graph_from_grams(&grams("a b c d e f g h"), 1);
+        let small = graph_of(&mut space, &grams("a b"), 1);
+        let big = graph_of(&mut space, &grams("a b c d e f g h"), 1);
         assert!(normalized_value(&small, &big) > value(&small, &big));
     }
 
     #[test]
     fn vs_matches_hand_computation() {
-        let mut space = GraphSpace::new();
-        let a = space.graph_from_grams(&grams("x y x y"), 1); // x-y weight 3
-        let b = space.graph_from_grams(&grams("x y z"), 1); // x-y weight 1, y-z weight 1
-                                                            // Common edge x-y: min/max = 1/3. |Ga|=1, |Gb|=2.
+        let mut space = Vocabulary::new();
+        let a = graph_of(&mut space, &grams("x y x y"), 1); // x-y weight 3
+        let b = graph_of(&mut space, &grams("x y z"), 1); // x-y weight 1, y-z weight 1
+                                                          // Common edge x-y: min/max = 1/3. |Ga|=1, |Gb|=2.
         assert!((value(&a, &b) - (1.0 / 3.0) / 2.0).abs() < 1e-9);
         assert!((normalized_value(&a, &b) - (1.0 / 3.0) / 1.0).abs() < 1e-9);
         assert!((containment(&a, &b) - 1.0).abs() < 1e-9);
@@ -197,7 +198,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::graph::GraphSpace;
+    use crate::graph::graph_of;
+    use pmr_text::vocab::Vocabulary;
     use proptest::prelude::*;
 
     fn arb_doc() -> impl Strategy<Value = Vec<String>> {
@@ -207,9 +209,9 @@ mod proptests {
     proptest! {
         #[test]
         fn similarities_are_symmetric_and_bounded(d1 in arb_doc(), d2 in arb_doc(), w in 1usize..4) {
-            let mut space = GraphSpace::new();
-            let a = space.graph_from_grams(&d1, w);
-            let b = space.graph_from_grams(&d2, w);
+            let mut space = Vocabulary::new();
+            let a = graph_of(&mut space, &d1, w);
+            let b = graph_of(&mut space, &d2, w);
             for s in [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue] {
                 let xy = s.compare(&a, &b);
                 let yx = s.compare(&b, &a);
@@ -223,9 +225,9 @@ mod proptests {
 
         #[test]
         fn vs_never_exceeds_ns_or_cos(d1 in arb_doc(), d2 in arb_doc()) {
-            let mut space = GraphSpace::new();
-            let a = space.graph_from_grams(&d1, 2);
-            let b = space.graph_from_grams(&d2, 2);
+            let mut space = Vocabulary::new();
+            let a = graph_of(&mut space, &d1, 2);
+            let b = graph_of(&mut space, &d2, 2);
             prop_assert!(value(&a, &b) <= normalized_value(&a, &b) + 1e-9);
             prop_assert!(value(&a, &b) <= containment(&a, &b) + 1e-9);
         }

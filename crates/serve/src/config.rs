@@ -8,6 +8,7 @@
 //! snapshot taken on one shard layout restores onto any other.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
+use pmr_core::{PmrError, PmrResult};
 use pmr_graph::GraphSimilarity;
 use pmr_topics::OnlineTopicConfig;
 use serde::{Deserialize, Serialize};
@@ -136,6 +137,32 @@ pub struct EngineConfig {
     /// feed tweets stay eligible for recommendation. Oldest entries are
     /// evicted first.
     pub window: usize,
+}
+
+impl EngineConfig {
+    /// Reject a configuration the engine would panic on: gram order
+    /// `n = 0` (gram extraction asserts `n ≥ 1`), or a history decay
+    /// outside (0, 1] (the first new user's profile asserts on it inside a
+    /// shard worker). Entry points that return [`PmrResult`] call this
+    /// before they start anything.
+    pub(crate) fn check(&self) -> PmrResult<()> {
+        let invalid = |detail: String| Err(PmrError::Config { detail });
+        if self.model.n() == 0 {
+            return invalid(format!(
+                "{} model gram order n = 0 (must be at least 1)",
+                self.model.name()
+            ));
+        }
+        if let ServeModel::Bag { decay, .. } | ServeModel::Topic { decay, .. } = self.model {
+            if !(decay > 0.0 && decay <= 1.0) {
+                return invalid(format!(
+                    "{} model decay {decay} is outside (0, 1]",
+                    self.model.name()
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A one-value placeholder: the work-stealing runtime is the only

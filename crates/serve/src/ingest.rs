@@ -21,14 +21,21 @@
 //!
 //! **Model restrictions.** Char-gram graph models and char-gram TF/BF bag
 //! models are streamable, and their features are replay's exactly. Char
-//! grams are lower-cased raw text in both paths. A TF/BF bag vector
-//! depends only on the document plus a *dimension id space*, and that
-//! space grows incrementally: grams are interned in first-seen stream
+//! grams are lower-cased raw text in both paths. A TF/BF bag vector and a
+//! document graph depend only on the document plus a *gram-id space*, and
+//! that space grows incrementally: grams are interned in first-seen stream
 //! order over original tweets, which reproduces — prefix by prefix — the
-//! local ids [`pmr_bag::IndexedVectorizer::fit`] assigns over the
-//! materialized corpus (original tweet ids are allocated in stream order),
-//! and the vector is weighed by the same [`pmr_bag::weighting::weigh`].
-//! Three families are rejected with typed errors: **token grams** pass
+//! ids replay assigns over the materialized corpus (original tweet ids are
+//! allocated in stream order). The two families then differ only in the
+//! last step: a bag vector is weighed by the same
+//! [`pmr_bag::weighting::weigh`], a graph built by the same
+//! [`pmr_graph::NGramGraph::from_ids`]. Graph similarities sum their terms
+//! in ascending edge-key order, so equal ids are what make the scores
+//! bit-identical.
+//!
+//! A configuration `EngineConfig::check` rejects (gram order 0, a decay
+//! outside (0, 1]) is an error before anything is rendered. Three
+//! families are rejected with typed errors as well: **token grams** pass
 //! through a stop-word filter replay fits on the whole corpus, **TF-IDF**
 //! needs corpus-wide document frequencies, and **topic** needs the
 //! materialized corpus to bootstrap its epoch-0 background model — none of
@@ -40,6 +47,7 @@ use pmr_bag::weighting::weigh;
 use pmr_bag::WeightingScheme;
 use pmr_core::executor::run_tasks;
 use pmr_core::{PmrError, PmrResult};
+use pmr_graph::NGramGraph;
 use pmr_sim::StreamGenerator;
 use pmr_text::char_ngrams;
 use pmr_text::vocab::{TermId, Vocabulary};
@@ -55,6 +63,7 @@ use crate::shard::TweetFeatures;
 /// [`crate::EngineConfig`]; `jobs`, `shards` and `queue_capacity` are
 /// mechanical.
 pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult<ReplayOutcome> {
+    options.config.check()?;
     let model = options.config.model;
     let unstreamable = match model {
         ServeModel::Bag { weighting: WeightingScheme::TFIDF, .. } => {
@@ -77,7 +86,8 @@ pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult
     let followers = gen.build_followers();
     let mut feed = Feed::new(gen.evaluated_user_ids().collect(), options.k, options.query_every);
     let mut engine = Engine::start(options.config, options.runtime);
-    // Bag dimensions, interned in first-seen order over originals.
+    // Gram ids (bag dimensions, graph vertices), interned in first-seen
+    // order over originals.
     let mut dims = Vocabulary::new();
     let jobs = options.jobs.max(1);
 
@@ -88,9 +98,9 @@ pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult
         window_start += window.len();
         // Render + gram-extract this window in parallel; results come back
         // in chunk order, so consumption below is the global stream order.
-        // Bag dimensions are interned in the sequential loop below, not
-        // here: first-seen id assignment is order-dependent, so it must
-        // only ever see the global stream.
+        // Gram ids are interned in the sequential loop below, not here:
+        // first-seen id assignment is order-dependent, so it must only
+        // ever see the global stream.
         let rendered = run_tasks(window, jobs, |_, chunk| {
             gen.render_chunk(chunk)
                 .into_iter()
@@ -101,20 +111,20 @@ pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult
                 .collect::<Vec<_>>()
         });
         for (event, grams) in rendered.into_iter().flatten() {
+            // A retweet's grams are its original's, interned when the
+            // original streamed by, so they only look ids up; grams outside
+            // the space are dropped, as a fitted vectorizer drops unseen
+            // grams.
+            let ids: Vec<TermId> = match event.retweet_of {
+                None => grams.iter().map(|g| dims.intern(g)).collect(),
+                Some(_) => grams.iter().filter_map(|g| dims.get(g)).collect(),
+            };
             let features = Arc::new(match model {
+                // TF-IDF was rejected above, so no idf is ever asked for.
                 ServeModel::Bag { weighting, .. } => {
-                    // A retweet's grams are its original's, interned when
-                    // the original streamed by, so they only look ids up;
-                    // grams outside the space are dropped, as a fitted
-                    // vectorizer drops unseen grams.
-                    let ids: Vec<TermId> = match event.retweet_of {
-                        None => grams.iter().map(|g| dims.intern(g)).collect(),
-                        Some(_) => grams.iter().filter_map(|g| dims.get(g)).collect(),
-                    };
-                    // TF-IDF was rejected above, so no idf is ever asked for.
                     TweetFeatures::Bag(weigh(weighting, ids, grams.len(), |_| 0.0).normalized())
                 }
-                _ => TweetFeatures::Graph(grams),
+                _ => TweetFeatures::Graph(NGramGraph::from_ids(&ids, model.n())),
             });
             feed.drive(&mut engine, &event, Some(&features), &followers[event.author.index()]);
         }
@@ -203,6 +213,34 @@ mod tests {
             let options = ReplayOptions { config, ..ReplayOptions::default() };
             assert!(ingest_stream(&gen, options).is_err(), "token grams need the stop filter");
         }
+    }
+
+    fn rejected_config(options: ReplayOptions) -> String {
+        match ingest_stream(&smoke_gen(1), options) {
+            Err(PmrError::Config { detail }) => detail,
+            Err(other) => panic!("expected a config error, got {other}"),
+            Ok(_) => panic!("expected a config error, got a served stream"),
+        }
+    }
+
+    #[test]
+    fn a_gram_order_of_zero_is_a_config_error() {
+        let mut config = graph_config();
+        if let ServeModel::Graph { n, .. } = &mut config.model {
+            *n = 0;
+        }
+        let detail = rejected_config(ReplayOptions { config, ..ReplayOptions::default() });
+        assert!(detail.contains("gram order n = 0"), "{detail}");
+    }
+
+    #[test]
+    fn a_decay_of_zero_is_a_config_error() {
+        let mut config = bag_config(WeightingScheme::TF);
+        if let ServeModel::Bag { decay, .. } = &mut config.model {
+            *decay = 0.0;
+        }
+        let detail = rejected_config(ReplayOptions { config, ..ReplayOptions::default() });
+        assert!(detail.contains("decay 0 is outside (0, 1]"), "{detail}");
     }
 
     #[test]

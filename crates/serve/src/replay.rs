@@ -12,14 +12,21 @@
 //! every shard that sees the tweet. Precomputation order is canonical
 //! (`pmr_core::executor::run_tasks` returns results in input order), so
 //! `jobs` never changes a feature, a score, or a recommendation.
+//!
+//! The gram families share one id rule with streaming ingest: gram ids are
+//! first-seen over the originals in stream order. Bag vectors take them as
+//! dimensions, graphs as vertices. The ids are a pure function of the
+//! corpus prefix, so a resumed replay re-derives the id space its
+//! snapshot's graphs were built in, as it re-derives the topic background.
 
 use std::sync::Arc;
 
 use pmr_bag::IndexedVectorizer;
 use pmr_core::executor::run_tasks;
 use pmr_core::{GramKind, PmrError, PmrResult, PreparedCorpus};
+use pmr_graph::NGramGraph;
 use pmr_sim::{StreamEvent, TweetId};
-use pmr_text::vocab::TermId;
+use pmr_text::vocab::{LocalIds, TermId};
 use pmr_topics::{TopicBackground, TopicDoc};
 
 use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
@@ -97,10 +104,18 @@ pub fn precompute_features(
                 Arc::new(TweetFeatures::Bag(vectorizer.transform(table.doc(id)).normalized()))
             })
         }
-        ServeModel::Graph { .. } => run_tasks(originals.clone(), jobs, |_, id| {
-            let grams: Vec<String> = table.doc_terms(id).into_iter().map(str::to_owned).collect();
-            Arc::new(TweetFeatures::Graph(grams))
-        }),
+        ServeModel::Graph { n, .. } => {
+            // The engine's gram-id space: one pass in stream order, as
+            // `IndexedVectorizer::fit` assigns bag dimensions.
+            let mut space = LocalIds::new();
+            let docs: Vec<Vec<TermId>> = originals
+                .iter()
+                .map(|&id| table.doc(id).iter().map(|&g| space.intern(g)).collect())
+                .collect();
+            run_tasks(docs, jobs, |_, ids| {
+                Arc::new(TweetFeatures::Graph(NGramGraph::from_ids(&ids, n)))
+            })
+        }
         // Token unigram ids over the table's corpus-wide vocabulary; the
         // tweet id doubles as the fold-in seed key.
         ServeModel::Topic { .. } => run_tasks(originals.clone(), jobs, |_, id| {

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use pmr_bag::{ScoringKernel, SparseVector};
 use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile};
+use pmr_graph::NGramGraph;
 use pmr_sim::{Timestamp, TweetId, UserId};
 use pmr_topics::{TopicBackground, TopicDoc, TopicProfile};
 use serde::{Deserialize, Serialize};
@@ -29,8 +30,8 @@ use crate::snapshot::{UserModelSnapshot, UserSnapshot, WindowEntrySnapshot};
 pub enum TweetFeatures {
     /// Unit-normalized bag vector over the engine's shared vectorizer.
     Bag(SparseVector),
-    /// Gram surface forms for the graph models.
-    Graph(Vec<String>),
+    /// Document graph over the engine's shared gram-id space.
+    Graph(NGramGraph),
     /// Token ids plus the fold-in seed key for the topic family.
     Topic(TopicDoc),
 }
@@ -103,13 +104,14 @@ pub(crate) enum ShardReply {
 }
 
 /// The per-user online model, matching the engine's [`ServeModel`]: the
-/// engine's one per-user model dispatch. The topic variant holds only the
-/// user's decayed θ accumulator — the shared background lives once per
-/// shard ([`FoldIns`]), not per user.
+/// engine's one per-user model dispatch. Each variant holds only what is
+/// the user's own — a decayed vector, a merged graph, a decayed θ
+/// accumulator. The feature spaces are shared: document features arrive
+/// prebuilt, and the topic background lives once per shard ([`FoldIns`]).
 #[derive(Debug)]
 enum UserModel {
     Bag(OnlineProfile),
-    Graph(Box<OnlineGraphModel>),
+    Graph(OnlineGraphModel),
     Topic(TopicProfile),
 }
 
@@ -133,8 +135,8 @@ impl UserState {
     fn new(model: ServeModel) -> UserState {
         let model = match model {
             ServeModel::Bag { decay, .. } => UserModel::Bag(OnlineProfile::new(decay)),
-            ServeModel::Graph { similarity, n, .. } => {
-                UserModel::Graph(Box::new(OnlineGraphModel::new(similarity, n)))
+            ServeModel::Graph { similarity, .. } => {
+                UserModel::Graph(OnlineGraphModel::new(similarity))
             }
             ServeModel::Topic { topics, decay, .. } => {
                 UserModel::Topic(TopicProfile::new(decay, topics))
@@ -151,7 +153,7 @@ impl UserState {
     ) -> UserState {
         let model = match &snapshot.model {
             UserModelSnapshot::Bag(profile) => UserModel::Bag(profile.clone()),
-            UserModelSnapshot::Graph(graph) => UserModel::Graph(Box::new(graph.clone())),
+            UserModelSnapshot::Graph(graph) => UserModel::Graph(graph.clone()),
             UserModelSnapshot::Topic(profile) => UserModel::Topic(profile.clone()),
         };
         let window = snapshot
@@ -168,7 +170,7 @@ impl UserState {
     fn snapshot(&self, user: UserId) -> UserSnapshot {
         let model = match &self.model {
             UserModel::Bag(profile) => UserModelSnapshot::Bag(profile.clone()),
-            UserModel::Graph(graph) => UserModelSnapshot::Graph((**graph).clone()),
+            UserModel::Graph(graph) => UserModelSnapshot::Graph(graph.clone()),
             UserModel::Topic(profile) => UserModelSnapshot::Topic(profile.clone()),
         };
         let window = self
@@ -325,7 +327,7 @@ impl ShardState {
         let state = self.state(user);
         match (&mut state.model, features.as_ref()) {
             (UserModel::Bag(profile), TweetFeatures::Bag(unit)) => profile.observe_unit(unit),
-            (UserModel::Graph(graph), TweetFeatures::Graph(grams)) => graph.observe(grams),
+            (UserModel::Graph(graph), TweetFeatures::Graph(doc)) => graph.observe(doc),
             // Unreachable when the engine computes features from its own
             // config; counted rather than panicking per the no-panic rule.
             _ => pmr_obs::counter_add("serve.model_feature_mismatch", 1),
@@ -337,7 +339,7 @@ impl ShardState {
     fn query(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
         let _timer = pmr_obs::timer("serve.query");
         let mut items: Vec<RecItem> = Vec::new();
-        if let Some(UserState { model, window }) = self.users.get_mut(&user) {
+        if let Some(UserState { model, window }) = self.users.get(&user) {
             let eligible = window.iter().filter(|e| e.at <= now);
             match (model, self.config.model) {
                 (UserModel::Bag(profile), ServeModel::Bag { similarity, .. }) => {
@@ -352,8 +354,8 @@ impl ShardState {
                 }
                 (UserModel::Graph(graph), _) => {
                     for e in eligible {
-                        if let TweetFeatures::Graph(grams) = e.features.as_ref() {
-                            items.push(RecItem { tweet: e.tweet.0, score: graph.score(grams) });
+                        if let TweetFeatures::Graph(doc) = e.features.as_ref() {
+                            items.push(RecItem { tweet: e.tweet.0, score: graph.score(doc) });
                         }
                     }
                 }

@@ -13,6 +13,12 @@
 //! corpus and the [`EngineConfig`], so the restoring side recomputes them
 //! (via the resolver passed to [`crate::Engine::resume`]) instead of
 //! bloating the snapshot with redundant floats.
+//!
+//! A graph user line holds only the user's merged graph (and the
+//! similarity it scores under). Its vertex ids are the engine's shared
+//! gram ids, a pure function of the corpus prefix that the restoring side
+//! re-derives with the window features; so, like the topic background, the
+//! id space is not serialized, and scoring never changes a snapshot.
 
 use pmr_core::{OnlineGraphModel, OnlineProfile, PmrError, PmrResult};
 use pmr_sim::Timestamp;
@@ -22,8 +28,10 @@ use serde::{Deserialize, Serialize};
 use crate::config::{EngineConfig, ServeModel};
 
 /// Current snapshot format version; bumped on breaking layout changes.
-/// v2 added the `epoch` header field and the topic user-model variant.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v2 added the `epoch` header field and the topic user-model variant. v3
+/// dropped the per-user gram space from graph user lines: their edge keys
+/// are over the engine's shared gram ids.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// First line of a snapshot: format version, semantic configuration and
 /// the replay position the snapshot was taken at.
@@ -82,8 +90,7 @@ pub struct UserSnapshot {
 
 impl SnapshotHeader {
     /// Reject a header this build cannot resume from: another format
-    /// version, or a decay outside (0, 1], which the first new user's
-    /// profile would assert on inside a shard worker.
+    /// version, or a config [`EngineConfig::check`] rejects.
     fn check(&self) -> PmrResult<()> {
         if self.version != SNAPSHOT_VERSION {
             return Err(PmrError::Serialize {
@@ -93,14 +100,9 @@ impl SnapshotHeader {
                 ),
             });
         }
-        if let ServeModel::Bag { decay, .. } | ServeModel::Topic { decay, .. } = self.config.model {
-            if !(decay > 0.0 && decay <= 1.0) {
-                return Err(PmrError::Serialize {
-                    detail: format!("snapshot decay {decay} is outside (0, 1]"),
-                });
-            }
-        }
-        Ok(())
+        self.config
+            .check()
+            .map_err(|e| PmrError::Serialize { detail: format!("snapshot header: {e}") })
     }
 }
 
@@ -201,7 +203,7 @@ mod tests {
     use super::*;
     use crate::config::ServeModel;
     use pmr_bag::{BagSimilarity, SparseVector, WeightingScheme};
-    use pmr_graph::GraphSimilarity;
+    use pmr_graph::{GraphSimilarity, NGramGraph};
 
     fn sample() -> EngineSnapshot {
         let mut profile = OnlineProfile::new(0.9);
@@ -245,8 +247,8 @@ mod tests {
 
     #[test]
     fn graph_snapshot_with_a_duplicate_edge_key_is_rejected() {
-        let mut model = OnlineGraphModel::new(GraphSimilarity::Value, 1);
-        model.observe(&["a", "b", "c"]);
+        let mut model = OnlineGraphModel::new(GraphSimilarity::Value);
+        model.observe(&NGramGraph::from_ids(&[0, 1, 2], 1));
         let mut snap = sample();
         snap.header.config.model =
             ServeModel::Graph { similarity: GraphSimilarity::Value, char_grams: false, n: 1 };
@@ -284,7 +286,7 @@ mod tests {
     fn a_user_model_of_another_family_is_rejected() {
         let mut snap = sample();
         snap.users[0].model =
-            UserModelSnapshot::Graph(OnlineGraphModel::new(GraphSimilarity::Value, 1));
+            UserModelSnapshot::Graph(OnlineGraphModel::new(GraphSimilarity::Value));
         let text = snap.to_jsonl().expect("serializes");
         assert!(rejected(&text).contains("another family"));
     }
@@ -302,10 +304,21 @@ mod tests {
     }
 
     #[test]
+    fn a_header_gram_order_of_zero_is_rejected() {
+        let mut snap = sample();
+        if let ServeModel::Bag { n, .. } = &mut snap.header.config.model {
+            *n = 0;
+        }
+        let text = snap.to_jsonl().expect("serializes");
+        assert!(rejected(&text).contains("gram order n = 0"));
+    }
+
+    #[test]
     fn version_and_truncation_are_rejected() {
         let snap = sample();
         let text = snap.to_jsonl().expect("serializes");
-        let future = text.replacen("\"version\":2", "\"version\":99", 1);
+        let future = text.replacen(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":99", 1);
+        assert_ne!(future, text, "the edit must hit the version field");
         assert!(EngineSnapshot::from_jsonl(&future).is_err(), "future version must be rejected");
         let truncated = text.lines().next().expect("header").to_owned();
         assert!(
@@ -320,16 +333,19 @@ mod tests {
 mod proptests {
     use std::sync::{Arc, OnceLock};
 
-    use pmr_graph::GraphSimilarity;
+    use pmr_graph::{GraphSimilarity, NGramGraph};
     use pmr_sim::{TweetId, UserId};
+    use pmr_text::vocab::TermId;
     use proptest::prelude::*;
 
     use super::*;
     use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
     use crate::{Engine, TweetFeatures};
 
-    /// A graph-family snapshot taken from a running engine, with
-    /// multi-byte grams so edits land inside and between UTF-8 sequences.
+    /// A graph-family snapshot taken from a running engine. Its user lines
+    /// hold edge keys and weights only (no gram strings), so edits land in
+    /// numbers, keys and JSON structure; the multi-byte replacements below
+    /// put UTF-8 sequences where the decoder expects none.
     fn graph_snapshot() -> &'static str {
         static TEXT: OnceLock<String> = OnceLock::new();
         TEXT.get_or_init(|| {
@@ -344,11 +360,10 @@ mod proptests {
             let runtime =
                 RuntimeOptions { shards: 2, queue_capacity: 8, ..RuntimeOptions::default() };
             let mut engine = Engine::start(config, runtime);
-            let docs =
-                ["café au lait", "naïve \"quoted\" text", "emoji 😀 here", "back\\slash café"];
-            for (i, doc) in docs.iter().enumerate() {
-                let grams = doc.split_whitespace().map(str::to_owned).collect();
-                let features = Arc::new(TweetFeatures::Graph(grams));
+            // Gram ids of four short documents; the last repeats gram 0.
+            let docs: [&[TermId]; 4] = [&[0, 1, 2], &[3, 4, 5], &[6, 7, 8], &[9, 0]];
+            for (i, ids) in docs.iter().enumerate() {
+                let features = Arc::new(TweetFeatures::Graph(NGramGraph::from_ids(ids, 2)));
                 for user in 0..3u32 {
                     if (i as u32 + user).is_multiple_of(2) {
                         engine.observe(UserId(user), &features);

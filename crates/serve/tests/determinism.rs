@@ -10,6 +10,7 @@ use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
     rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, ServeModel,
+    SnapshotHeader,
 };
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -214,6 +215,49 @@ fn snapshot_bytes_are_independent_of_shard_count() {
 }
 
 #[test]
+fn snapshot_bytes_do_not_depend_on_query_cadence() {
+    // Scoring reads a user's model and never writes it, so a run that
+    // answers a query after every event must leave every user exactly as
+    // a run that never queried: byte-identical user lines, and a header
+    // that differs only in its query count.
+    let prepared = prepared(42);
+    for options in [graph_options(), bag_options()] {
+        let name = options.config.model.name();
+        let runs: Vec<(SnapshotHeader, String)> = [0, 25, 1]
+            .into_iter()
+            .map(|query_every| {
+                let mut replay = Replay::new(&prepared, ReplayOptions { query_every, ..options });
+                replay.run_to_end();
+                let text = replay
+                    .snapshot()
+                    .expect("all shards alive")
+                    .to_jsonl()
+                    .expect("snapshot serializes");
+                let _ = replay.finish();
+                let header = EngineSnapshot::from_jsonl(&text).expect("snapshot parses").header;
+                let (_, users) = text.split_once('\n').expect("a header line");
+                (header, users.to_owned())
+            })
+            .collect();
+        assert_eq!(runs[0].0.queries, 0, "{name}: query_every 0 issues no query");
+        assert!(runs[2].0.queries > runs[1].0.queries, "{name}: cadence 1 queries most");
+        for (header, users) in &runs[1..] {
+            assert_eq!(
+                SnapshotHeader { queries: 0, ..*header },
+                runs[0].0,
+                "{name}: only the header's query count may depend on the cadence"
+            );
+            assert!(
+                *users == runs[0].1,
+                "{name}: user lines moved with the query cadence ({} vs {} bytes)",
+                users.len(),
+                runs[0].1.len()
+            );
+        }
+    }
+}
+
+#[test]
 fn resume_rejects_mismatched_configs() {
     let prepared = prepared(47);
     let options = bag_options();
@@ -323,28 +367,28 @@ fn serving_outputs_match_pinned_digests() {
         options
     };
     let cases = [
-        ("bag CS", bag(BagSimilarity::Cosine), 0xafec_fc48_2015_14f6, 0x7fee_de10_198c_60e0),
-        ("bag JS", bag(BagSimilarity::Jaccard), 0x0ebf_e88f_9745_f982, 0x2735_a0c7_bc02_e295),
+        ("bag CS", bag(BagSimilarity::Cosine), 0xafec_fc48_2015_14f6, 0x94d0_419b_3631_2b4f),
+        ("bag JS", bag(BagSimilarity::Jaccard), 0x0ebf_e88f_9745_f982, 0x7e40_9b82_ca69_b854),
         (
             "bag GJS",
             bag(BagSimilarity::GeneralizedJaccard),
             0x8c92_56f2_786b_fc31,
-            0x3531_b6a5_0fb8_06e3,
+            0x7ec5_636c_a62c_8ae8,
         ),
         (
             "graph CoS",
             graph(GraphSimilarity::Containment),
             0xf11b_a533_67c9_a290,
-            0xbe41_9629_e0cb_2974,
+            0x43cf_c0ab_eb25_dfa0,
         ),
-        ("graph VS", graph(GraphSimilarity::Value), 0x2283_7d02_f5c5_2f04, 0xce16_5dc9_20a0_4a03),
+        ("graph VS", graph(GraphSimilarity::Value), 0x2283_7d02_f5c5_2f04, 0xcf74_6a92_db76_76f5),
         (
             "graph NS",
             graph(GraphSimilarity::NormalizedValue),
             0x10dc_3d9b_d76a_797e,
-            0xe30b_04c9_015b_b322,
+            0xd3b0_0917_61e2_a33a,
         ),
-        ("topic", topic_options(), 0x67d3_881b_8bc2_9345, 0xf2cc_b960_bded_198b),
+        ("topic", topic_options(), 0x67d3_881b_8bc2_9345, 0xf075_eb0e_84be_e31e),
     ];
     let prepared = prepared(42);
     let mut mismatches = Vec::new();

@@ -2,13 +2,12 @@
 //! rank her future retweets above unretweeted feed content — the deployment
 //! scenario behind the paper's motivation.
 
-use pmr::bag::{BagSimilarity, BagVectorizer, WeightingScheme};
+use pmr::bag::{BagSimilarity, IndexedVectorizer, ScoringKernel, WeightingScheme};
 use pmr::core::{
-    OnlineBagModel, OnlineGraphModel, PreparedCorpus, RepresentationSource, SplitConfig,
+    GramKind, OnlineGraphModel, OnlineProfile, PreparedCorpus, RepresentationSource, SplitConfig,
 };
-use pmr::graph::GraphSimilarity;
+use pmr::graph::{GraphSimilarity, NGramGraph};
 use pmr::sim::{generate_corpus, ScalePreset, SimConfig, TweetId};
-use pmr::text::token_ngrams;
 
 fn setup() -> PreparedCorpus {
     let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 42));
@@ -16,10 +15,13 @@ fn setup() -> PreparedCorpus {
 }
 
 /// Streaming the training retweets through the online bag model yields a
-/// ranker that scores test positives above test negatives on average.
+/// ranker that scores test positives above test negatives on average. The
+/// model is the serving path's: a profile of unit vectors over a shared
+/// `IndexedVectorizer`, scored through a `ScoringKernel`.
 #[test]
 fn online_bag_model_learns_from_the_stream() {
     let prepared = setup();
+    let table = prepared.gram_table(GramKind::Token, 1);
     let mut lifted = 0usize;
     let mut total = 0usize;
     for user in prepared.split.users().take(12) {
@@ -28,18 +30,19 @@ fn online_bag_model_learns_from_the_stream() {
         if train.len() < 5 {
             continue;
         }
-        let grams = |id: TweetId| token_ngrams(prepared.content(id), 1);
-        let train_grams: Vec<Vec<String>> = train.iter().map(|&id| grams(id)).collect();
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, train_grams.iter());
-        let mut model = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 1.0);
-        for g in &train_grams {
-            model.observe(g);
+        let vectorizer =
+            IndexedVectorizer::fit(WeightingScheme::TFIDF, train.iter().map(|&id| table.doc(id)));
+        let unit = |id: TweetId| vectorizer.transform(table.doc(id)).normalized();
+        let mut profile = OnlineProfile::new(1.0);
+        for &id in &train {
+            profile.observe_unit(&unit(id));
         }
+        let kernel = ScoringKernel::new(BagSimilarity::Cosine, profile.vector());
         let mean = |ids: &[TweetId]| -> f64 {
             if ids.is_empty() {
                 return 0.0;
             }
-            ids.iter().map(|&id| model.score(&grams(id))).sum::<f64>() / ids.len() as f64
+            ids.iter().map(|&id| kernel.score(&unit(id))).sum::<f64>() / ids.len() as f64
         };
         total += 1;
         if mean(&split.positives) > mean(&split.negatives) {
@@ -53,7 +56,8 @@ fn online_bag_model_learns_from_the_stream() {
     );
 }
 
-/// The online graph model does the same through the update operator.
+/// The online graph model does the same through the update operator, over
+/// document graphs built once in the corpus's shared gram-id space.
 #[test]
 fn online_graph_model_learns_from_the_stream() {
     let prepared = setup();
@@ -71,17 +75,18 @@ fn online_graph_model_learns_from_the_stream() {
     // information the simulated collocations actually supply (higher-n
     // graph edges need verbatim 2n-token repetition — see
     // tests/paper_shapes.rs).
-    let mut model = OnlineGraphModel::new(GraphSimilarity::Value, 1);
+    let table = prepared.gram_table(GramKind::Token, 1);
+    let graph = |id: TweetId| NGramGraph::from_ids(table.doc(id), 1);
+    let mut model = OnlineGraphModel::new(GraphSimilarity::Value);
     for &id in &train {
-        model.observe(&token_ngrams(prepared.content(id), 1));
+        model.observe(&graph(id));
     }
     assert_eq!(model.documents(), train.len());
-    let mut mean = |ids: &[TweetId]| -> f64 {
+    let mean = |ids: &[TweetId]| -> f64 {
         if ids.is_empty() {
             return 0.0;
         }
-        ids.iter().map(|&id| model.score(&token_ngrams(prepared.content(id), 1))).sum::<f64>()
-            / ids.len() as f64
+        ids.iter().map(|&id| model.score(&graph(id))).sum::<f64>() / ids.len() as f64
     };
     let pos = mean(&split.positives);
     let neg = mean(&split.negatives);

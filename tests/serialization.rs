@@ -5,14 +5,25 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pmr::bag::{BagSimilarity, BagVectorizer, WeightingScheme};
-use pmr::core::{OnlineBagModel, OnlineGraphModel};
-use pmr::graph::GraphSimilarity;
+use pmr::bag::{BagSimilarity, BagVectorizer, IndexedVectorizer, ScoringKernel, WeightingScheme};
+use pmr::core::{OnlineGraphModel, OnlineProfile};
+use pmr::graph::{GraphSimilarity, NGramGraph};
+use pmr::text::vocab::{TermId, Vocabulary};
 use pmr::topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, TopicCorpus, TopicModel};
 
 fn docs() -> Vec<Vec<String>> {
     let d = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
     vec![d("cat dog pet cat"), d("rust code bug rust"), d("cat pet vet"), d("code test bug")]
+}
+
+/// `text`'s whitespace tokens, interned into the shared gram-id space.
+fn ids(space: &mut Vocabulary, text: &str) -> Vec<TermId> {
+    text.split_whitespace().map(|g| space.intern(g)).collect()
+}
+
+/// [`docs`] interned into `space`.
+fn interned_docs(space: &mut Vocabulary) -> Vec<Vec<TermId>> {
+    docs().iter().map(|d| d.iter().map(|g| space.intern(g)).collect()).collect()
 }
 
 #[test]
@@ -49,26 +60,33 @@ fn btm_model_roundtrips() {
 
 #[test]
 fn online_models_roundtrip_mid_stream() {
-    let vectorizer = BagVectorizer::fit(WeightingScheme::TF, docs().iter());
-    let mut bag = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 0.9);
-    let mut graph = OnlineGraphModel::new(GraphSimilarity::Value, 2);
-    for d in docs().iter().take(2) {
-        bag.observe(d);
-        graph.observe(d);
+    let mut space = Vocabulary::new();
+    let train = interned_docs(&mut space);
+    let vectorizer = IndexedVectorizer::fit(WeightingScheme::TF, &train);
+    let unit = |d: &[TermId]| vectorizer.transform(d).normalized();
+    let mut bag = OnlineProfile::new(0.9);
+    let mut graph = OnlineGraphModel::new(GraphSimilarity::Value);
+    for d in train.iter().take(2) {
+        bag.observe_unit(&unit(d));
+        graph.observe(&NGramGraph::from_ids(d, 2));
     }
     // Checkpoint, restore, continue the stream on both copies.
     let bag_json = serde_json::to_string(&bag).expect("serializes");
     let graph_json = serde_json::to_string(&graph).expect("serializes");
-    let mut bag_restored: OnlineBagModel = serde_json::from_str(&bag_json).expect("ok");
+    let mut bag_restored: OnlineProfile = serde_json::from_str(&bag_json).expect("ok");
     let mut graph_restored: OnlineGraphModel = serde_json::from_str(&graph_json).expect("ok");
-    for d in docs().iter().skip(2) {
-        bag.observe(d);
-        bag_restored.observe(d);
-        graph.observe(d);
-        graph_restored.observe(d);
+    for d in train.iter().skip(2) {
+        bag.observe_unit(&unit(d));
+        bag_restored.observe_unit(&unit(d));
+        graph.observe(&NGramGraph::from_ids(d, 2));
+        graph_restored.observe(&NGramGraph::from_ids(d, 2));
     }
-    let probe = vec!["cat".to_owned(), "code".to_owned()];
-    assert_eq!(bag.score(&probe), bag_restored.score(&probe));
+    let probe = ids(&mut space, "cat code");
+    let bag_score = |p: &OnlineProfile| {
+        ScoringKernel::new(BagSimilarity::Cosine, p.vector()).score(&unit(&probe))
+    };
+    assert_eq!(bag_score(&bag), bag_score(&bag_restored));
+    let probe = NGramGraph::from_ids(&probe, 2);
     assert_eq!(graph.score(&probe), graph_restored.score(&probe));
 }
 
@@ -79,38 +97,51 @@ fn online_models_roundtrip_with_identical_scores_on_a_probe_set() {
     // original on any probe, for every similarity — not just well-behaved
     // cosine. Exact equality on purpose: the JSON float encoding is
     // shortest-round-trip, so nothing may drift by even an ulp.
-    let probes: Vec<Vec<String>> = ["cat dog", "rust bug code", "vet pet cat dog", "unseen words"]
+    let mut space = Vocabulary::new();
+    let train = interned_docs(&mut space);
+    let probes: Vec<Vec<TermId>> = ["cat dog", "rust bug code", "vet pet cat dog", "unseen words"]
         .iter()
-        .map(|s| s.split_whitespace().map(str::to_owned).collect())
+        .map(|s| ids(&mut space, s))
         .collect();
+    let vectorizer = IndexedVectorizer::fit(WeightingScheme::TFIDF, &train);
+    let unit = |d: &[TermId]| vectorizer.transform(d).normalized();
+    let mut model = OnlineProfile::new(0.8);
+    for d in &train {
+        model.observe_unit(&unit(d));
+    }
+    let json = serde_json::to_string(&model).expect("serializes");
+    let back: OnlineProfile = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(back.documents(), model.documents(), "document count must survive");
+    assert_eq!(back.vector(), model.vector(), "profile vector must survive bit-exactly");
     for similarity in
         [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard]
     {
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, docs().iter());
-        let mut model = OnlineBagModel::new(vectorizer, similarity, 0.8);
-        for d in docs() {
-            model.observe(&d);
-        }
-        let json = serde_json::to_string(&model).expect("serializes");
-        let back: OnlineBagModel = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.documents(), model.documents(), "document count must survive");
-        assert_eq!(back.model(), model.model(), "profile vector must survive bit-exactly");
+        let (kernel, restored) = (
+            ScoringKernel::new(similarity, model.vector()),
+            ScoringKernel::new(similarity, back.vector()),
+        );
         for p in &probes {
-            assert_eq!(model.score(p), back.score(p), "{similarity:?} score drifted on {p:?}");
+            let v = unit(p);
+            assert_eq!(
+                kernel.score(&v),
+                restored.score(&v),
+                "{similarity:?} score drifted on {p:?}"
+            );
         }
     }
     for similarity in
         [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
     {
-        let mut model = OnlineGraphModel::new(similarity, 2);
-        for d in docs() {
-            model.observe(&d);
+        let mut model = OnlineGraphModel::new(similarity);
+        for d in &train {
+            model.observe(&NGramGraph::from_ids(d, 2));
         }
         let json = serde_json::to_string(&model).expect("serializes");
-        let mut back: OnlineGraphModel = serde_json::from_str(&json).expect("deserializes");
+        let back: OnlineGraphModel = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back.documents(), model.documents(), "document count must survive");
         for p in &probes {
-            assert_eq!(model.score(p), back.score(p), "{similarity:?} score drifted on {p:?}");
+            let g = NGramGraph::from_ids(p, 2);
+            assert_eq!(model.score(&g), back.score(&g), "{similarity:?} score drifted on {p:?}");
         }
     }
 }
