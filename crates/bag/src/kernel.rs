@@ -4,10 +4,12 @@
 //! The sweep scores every test document against the *same* user model, so
 //! the per-pair sorted-merge of [`crate::similarity`] repays O(nnz(model))
 //! work per document that depends only on the model. [`ScoringKernel`]
-//! hoists that work to construction time — a dense weight accumulator over
+//! hoists that work to expansion time — a dense weight accumulator over
 //! the model's dimensions, its Euclidean norm, and its positive support
 //! size — and then scores each document in O(nnz(doc)) lookups for cosine
-//! and Jaccard.
+//! and Jaccard. [`ScoringKernel::rebuild`] re-expands a kernel in place in
+//! O(nnz(old model) + nnz(new model)), which is how the sweep and the
+//! serving engine both expand a model.
 //!
 //! Generalized Jaccard is the exception: its denominator `Σ max(w_a, w_b)`
 //! ranges over the *union* of dimensions and is accumulated in f64 in
@@ -27,13 +29,22 @@ use crate::similarity::BagSimilarity;
 use crate::vector::SparseVector;
 
 /// A user model pre-expanded for repeated scoring under one similarity.
+///
+/// One kernel can be re-expanded in place ([`ScoringKernel::rebuild`]) for
+/// model after model, so a serving worker keeps a single kernel and its
+/// buffers instead of allocating a dense array per query.
 #[derive(Debug, Clone)]
 pub struct ScoringKernel {
     similarity: BagSimilarity,
-    /// Model weight per dimension, dense up to the model's largest
-    /// dimension (cosine + Jaccard). A zero means "absent": sparse vectors
-    /// never store zero weights, so the encoding is unambiguous.
+    /// Model weight per dimension (cosine + Jaccard). A zero means
+    /// "absent": sparse vectors never store zero weights, so the encoding is
+    /// unambiguous. The array only grows: slots past the current model's
+    /// largest dimension were zeroed by the rebuild that left them, and
+    /// read 0.0 like the ones past its end.
     dense: Vec<f32>,
+    /// The dimensions the current model wrote into `dense`: exactly the
+    /// slots the next rebuild zeroes.
+    written: Vec<TermId>,
     /// The model's Euclidean norm, computed once (cosine).
     norm: f32,
     /// Number of model dimensions with weight > 0 (Jaccard).
@@ -43,31 +54,59 @@ pub struct ScoringKernel {
     clamped: Vec<(TermId, f64)>,
 }
 
+impl Default for ScoringKernel {
+    /// A kernel over the empty model: every document scores 0.0 until a
+    /// [`ScoringKernel::rebuild`] expands a real one.
+    fn default() -> ScoringKernel {
+        ScoringKernel {
+            similarity: BagSimilarity::Cosine,
+            dense: Vec::new(),
+            written: Vec::new(),
+            norm: 0.0,
+            positive_support: 0,
+            clamped: Vec::new(),
+        }
+    }
+}
+
 impl ScoringKernel {
     /// Pre-expand `model` for scoring under `similarity`.
     pub fn new(similarity: BagSimilarity, model: &SparseVector) -> ScoringKernel {
+        let mut kernel = ScoringKernel::default();
+        kernel.rebuild(similarity, model);
+        kernel
+    }
+
+    /// Re-expand this kernel for `model` under `similarity`, reusing its
+    /// buffers: only the previous model's dimensions are zeroed, only the
+    /// new model's entries are written, and `dense` grows only when the
+    /// model reaches a larger dimension. Scores afterwards are bit-identical
+    /// to a fresh [`ScoringKernel::new`]'s.
+    pub fn rebuild(&mut self, similarity: BagSimilarity, model: &SparseVector) {
+        for &d in &self.written {
+            self.dense[d as usize] = 0.0;
+        }
+        self.written.clear();
+        self.clamped.clear();
         let entries = model.entries();
-        let mut dense = Vec::new();
-        let mut clamped = Vec::new();
         match similarity {
             BagSimilarity::Cosine | BagSimilarity::Jaccard => {
                 let size = entries.last().map_or(0, |&(d, _)| d as usize + 1);
-                dense = vec![0.0f32; size];
-                for &(d, w) in entries {
-                    dense[d as usize] = w;
+                if self.dense.len() < size {
+                    self.dense.resize(size, 0.0);
                 }
+                for &(d, w) in entries {
+                    self.dense[d as usize] = w;
+                }
+                self.written.extend(entries.iter().map(|&(d, _)| d));
             }
             BagSimilarity::GeneralizedJaccard => {
-                clamped = entries.iter().map(|&(d, w)| (d, w.max(0.0) as f64)).collect();
+                self.clamped.extend(entries.iter().map(|&(d, w)| (d, w.max(0.0) as f64)));
             }
         }
-        ScoringKernel {
-            similarity,
-            dense,
-            norm: model.norm(),
-            positive_support: entries.iter().filter(|&&(_, w)| w > 0.0).count(),
-            clamped,
-        }
+        self.similarity = similarity;
+        self.norm = model.norm();
+        self.positive_support = entries.iter().filter(|&&(_, w)| w > 0.0).count();
     }
 
     /// The similarity this kernel scores under.
@@ -75,7 +114,7 @@ impl ScoringKernel {
         self.similarity
     }
 
-    /// The model's Euclidean norm (cached at construction).
+    /// The model's Euclidean norm (cached at expansion).
     pub fn norm(&self) -> f32 {
         self.norm
     }
@@ -258,6 +297,37 @@ mod proptests {
             .prop_map(SparseVector::from_pairs)
     }
 
+    const ALL: [BagSimilarity; 3] =
+        [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard];
+
+    /// One rebuild step: a similarity, a model whose largest dimension
+    /// varies from step to step (a quarter of the models are empty), and
+    /// docs whose dimensions reach past it.
+    fn arb_step() -> impl Strategy<Value = (BagSimilarity, SparseVector, Vec<SparseVector>)> {
+        (
+            0usize..3,
+            1u32..200,
+            0u8..4,
+            proptest::collection::vec((0u32..200, -5.0f32..5.0), 0..30),
+            proptest::collection::vec(
+                proptest::collection::vec((0u32..250, -5.0f32..5.0), 0..20),
+                0..6,
+            ),
+        )
+            .prop_map(|(sim, ceiling, empty, pairs, docs)| {
+                let model = if empty == 0 {
+                    Vec::new()
+                } else {
+                    pairs.into_iter().map(|(d, w)| (d % ceiling, w)).collect()
+                };
+                (
+                    ALL[sim],
+                    SparseVector::from_pairs(model),
+                    docs.into_iter().map(SparseVector::from_pairs).collect(),
+                )
+            })
+    }
+
     proptest! {
         #[test]
         fn kernel_equals_merge_join_bit_for_bit(model in arb_vec(), doc in arb_vec()) {
@@ -280,6 +350,27 @@ mod proptests {
                 for doc in &docs {
                     let fresh = ScoringKernel::new(sim, &model);
                     prop_assert_eq!(kernel.score(doc).to_bits(), fresh.score(doc).to_bits());
+                }
+            }
+        }
+
+        #[test]
+        fn rebuilt_kernel_scores_like_a_fresh_one(steps in proptest::collection::vec(arb_step(), 1..10)) {
+            // One kernel re-expanded over a sequence of models — the largest
+            // dimension growing and shrinking, empty models, negative
+            // Rocchio weights, the similarity changing between rebuilds —
+            // must score exactly as a kernel built for each model alone.
+            let mut kernel = ScoringKernel::default();
+            for (sim, model, docs) in &steps {
+                kernel.rebuild(*sim, model);
+                let fresh = ScoringKernel::new(*sim, model);
+                prop_assert_eq!(kernel.similarity(), *sim);
+                prop_assert_eq!(kernel.norm().to_bits(), model.norm().to_bits());
+                prop_assert_eq!(kernel.positive_support(), fresh.positive_support());
+                for doc in docs {
+                    let got = kernel.score(doc).to_bits();
+                    prop_assert_eq!(got, fresh.score(doc).to_bits(), "{} after a rebuild", sim.name());
+                    prop_assert_eq!(got, sim.compare(model, doc).to_bits(), "{} vs the merge-join", sim.name());
                 }
             }
         }

@@ -341,6 +341,7 @@ mod tests {
     use super::*;
     use crate::config::ServeModel;
     use pmr_bag::{BagSimilarity, SparseVector, WeightingScheme};
+    use pmr_graph::{GraphSimilarity, NGramGraph};
 
     fn bag_config(window: usize) -> EngineConfig {
         EngineConfig {
@@ -357,6 +358,93 @@ mod tests {
 
     fn unit(dim: u32) -> Arc<TweetFeatures> {
         Arc::new(TweetFeatures::Bag(SparseVector::from_pairs(vec![(dim, 1.0)])))
+    }
+
+    fn graph_config(window: usize) -> EngineConfig {
+        EngineConfig {
+            model: ServeModel::Graph {
+                similarity: GraphSimilarity::Value,
+                char_grams: false,
+                n: 1,
+            },
+            window,
+        }
+    }
+
+    fn bag_doc(dims: &[u32]) -> TweetFeatures {
+        let pairs = dims.iter().map(|&d| (d, 1.0)).collect();
+        TweetFeatures::Bag(SparseVector::from_pairs(pairs).normalized())
+    }
+
+    fn graph_doc(grams: &[u32]) -> TweetFeatures {
+        TweetFeatures::Graph(NGramGraph::from_ids(grams, 1))
+    }
+
+    /// Drive `config` under 1 and 4 shards: users 0–4 each observe one
+    /// document and user 5 none; every user sees eight candidates, one of
+    /// them an empty document, and is queried at each `k` of `ks`. Returns
+    /// every answer with the `k` it was asked for.
+    fn answers(
+        config: EngineConfig,
+        doc: fn(&[u32]) -> TweetFeatures,
+        ks: &[usize],
+    ) -> Vec<(usize, Recommendation)> {
+        let mut out = Vec::new();
+        for shards in [1, 4] {
+            let mut engine = Engine::start(
+                config,
+                RuntimeOptions { shards, queue_capacity: 4, ..RuntimeOptions::default() },
+            );
+            let mut asked = BTreeMap::new();
+            for user in 0..6u32 {
+                if user != 5 {
+                    engine.observe(UserId(user), &Arc::new(doc(&[user, user + 1])));
+                }
+                for t in 0..8u32 {
+                    let grams = if t == 0 { vec![] } else { vec![t, user, t + user] };
+                    let features = Arc::new(doc(&grams));
+                    engine.post_candidate(
+                        UserId(user),
+                        TweetId(user * 100 + t),
+                        t.into(),
+                        &features,
+                    );
+                }
+                for &k in ks {
+                    asked.insert(engine.query(UserId(user), k, 10), k);
+                }
+            }
+            out.extend(engine.finish().into_iter().map(|rec| (asked[&rec.query], rec)));
+        }
+        out
+    }
+
+    #[test]
+    fn a_zero_k_query_answers_with_no_items() {
+        for (config, doc) in
+            [(bag_config(8), bag_doc as fn(&[u32]) -> _), (graph_config(8), graph_doc)]
+        {
+            // k 8 answers with the whole window, so every score is checked.
+            let answers = answers(config, doc, &[0, 3, 8]);
+            assert_eq!(answers.len(), 2 * 6 * 3, "every query is answered under both layouts");
+            for (k, rec) in &answers {
+                assert_eq!(rec.items.len(), *k, "{}: k {k}", config.model.name());
+                assert!(rec.items.iter().all(|i| !i.score.is_nan()), "a NaN score: {rec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_window_answers_every_query_with_no_items() {
+        for (config, doc) in
+            [(bag_config(0), bag_doc as fn(&[u32]) -> _), (graph_config(0), graph_doc)]
+        {
+            let answers = answers(config, doc, &[0, 1, 10]);
+            assert_eq!(answers.len(), 2 * 6 * 3, "every query is answered under both layouts");
+            for (k, rec) in &answers {
+                assert!(rec.items.is_empty(), "{}: k {k} answered {rec:?}", config.model.name());
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use pmr_sim::UserId;
 
 use crate::config::{EngineConfig, RuntimeOptions};
-use crate::shard::{panic_detail, ShardMsg, ShardReply, ShardState, UserState};
+use crate::shard::{panic_detail, QueryScratch, ShardMsg, ShardReply, ShardState, UserState};
 
 /// Messages a worker pulls from the shared injector queue.
 enum Task {
@@ -276,11 +276,13 @@ impl std::fmt::Debug for ShardRuntime {
 }
 
 /// One worker: pull run tokens off the injector, drain the named shard,
-/// park when nothing is runnable. A panic anywhere in message handling is
-/// caught per token: record the abort, wake every waiter, send
-/// [`ShardReply::Aborted`] so the engine's snapshot barrier fails fast
-/// instead of waiting forever for a dead shard's reply, then re-raise so
-/// the shutdown join still observes it.
+/// park when nothing is runnable. The worker owns one [`QueryScratch`] and
+/// lends it to every shard it runs, so queries reuse one scoring kernel
+/// per thread however many logical shards exist. A panic anywhere in
+/// message handling is caught per token: record the abort, wake every
+/// waiter, send [`ShardReply::Aborted`] so the engine's snapshot barrier
+/// fails fast instead of waiting forever for a dead shard's reply, then
+/// re-raise so the shutdown join still observes it.
 fn worker_loop(
     worker: usize,
     shared: &Shared,
@@ -288,6 +290,7 @@ fn worker_loop(
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
 ) {
+    let mut scratch = QueryScratch::default();
     loop {
         let task = match tasks.try_recv() {
             Ok(task) => task,
@@ -305,7 +308,7 @@ fn worker_loop(
             Task::Stop => return,
         };
         let turn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_shard(worker, shard, shared, injector, reply);
+            run_shard(worker, shard, shared, injector, reply, &mut scratch);
         }));
         if let Err(payload) = turn {
             let detail = panic_detail(payload.as_ref());
@@ -325,6 +328,7 @@ fn run_shard(
     shared: &Shared,
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
+    scratch: &mut QueryScratch,
 ) {
     let cell = &shared.cells[shard];
     let mut replies: Vec<ShardReply> = Vec::new();
@@ -350,7 +354,7 @@ fn run_shard(
         {
             let mut state = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
             for msg in batch {
-                state.apply(msg, &mut replies);
+                state.apply(msg, &mut replies, scratch);
             }
         }
         for r in replies.drain(..) {

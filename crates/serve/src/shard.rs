@@ -9,7 +9,9 @@
 //! That argument is the whole determinism proof; everything else in this
 //! module is bookkeeping. The thread-scheduling half lives in
 //! [`crate::runtime`]; this module owns the pure state transition
-//! ([`ShardState::apply`]).
+//! ([`ShardState::apply`]). The [`QueryScratch`] a worker lends to `apply`
+//! holds only reusable buffers, never state: every query overwrites what
+//! it reads of them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -232,6 +234,16 @@ impl FoldIns {
     }
 }
 
+/// A worker's reusable query buffers: one [`ScoringKernel`] re-expanded
+/// for each bag query's user model, and the scored window. The runtime keeps
+/// one per worker thread, not per logical shard, so the shard count costs
+/// no extra memory for them.
+#[derive(Debug, Default)]
+pub(crate) struct QueryScratch {
+    kernel: ScoringKernel,
+    scored: Vec<RecItem>,
+}
+
 /// One logical shard's complete state: a partition of the user space plus
 /// the pure message-transition function ([`ShardState::apply`]). Owns no
 /// thread and no channel — the scheduling half ([`crate::runtime`]) decides
@@ -260,14 +272,19 @@ impl ShardState {
     /// observable behavior of a shard: a shard's output is a fold of
     /// `apply` over its FIFO message sequence, which is what makes the
     /// scheduling layer provably irrelevant to the recommendation log.
-    pub(crate) fn apply(&mut self, msg: ShardMsg, replies: &mut Vec<ShardReply>) {
+    pub(crate) fn apply(
+        &mut self,
+        msg: ShardMsg,
+        replies: &mut Vec<ShardReply>,
+        scratch: &mut QueryScratch,
+    ) {
         match msg {
             ShardMsg::Candidate { user, tweet, at, features } => {
                 self.candidate(user, tweet, at, features);
             }
             ShardMsg::Observe { user, features } => self.observe(user, &features),
             ShardMsg::Query { id, user, k, now } => {
-                let rec = self.query(id, user, k, now);
+                let rec = self.query(id, user, k, now, scratch);
                 replies.push(ShardReply::Recommendation(rec));
             }
             // θs are functions of φ: a new background invalidates the memo
@@ -335,27 +352,36 @@ impl ShardState {
     }
 
     /// Score every eligible candidate in `user`'s window (posted at or
-    /// before `now`) against their model and keep the top `k`.
-    fn query(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
+    /// before `now`) against their model and keep the top `k`. Scores go
+    /// into the worker's scratch, so the answer is the only allocation.
+    fn query(
+        &mut self,
+        id: u64,
+        user: UserId,
+        k: usize,
+        now: Timestamp,
+        scratch: &mut QueryScratch,
+    ) -> Recommendation {
         let _timer = pmr_obs::timer("serve.query");
-        let mut items: Vec<RecItem> = Vec::new();
+        let QueryScratch { kernel, scored } = scratch;
+        scored.clear();
         if let Some(UserState { model, window }) = self.users.get(&user) {
             let eligible = window.iter().filter(|e| e.at <= now);
             match (model, self.config.model) {
                 (UserModel::Bag(profile), ServeModel::Bag { similarity, .. }) => {
-                    // One kernel per query amortizes the model-side
+                    // One expansion per query amortizes the model-side
                     // normalization over the whole window.
-                    let kernel = ScoringKernel::new(similarity, profile.vector());
+                    kernel.rebuild(similarity, profile.vector());
                     for e in eligible {
                         if let TweetFeatures::Bag(v) = e.features.as_ref() {
-                            items.push(RecItem { tweet: e.tweet.0, score: kernel.score(v) });
+                            scored.push(RecItem { tweet: e.tweet.0, score: kernel.score(v) });
                         }
                     }
                 }
                 (UserModel::Graph(graph), _) => {
                     for e in eligible {
                         if let TweetFeatures::Graph(doc) = e.features.as_ref() {
-                            items.push(RecItem { tweet: e.tweet.0, score: graph.score(doc) });
+                            scored.push(RecItem { tweet: e.tweet.0, score: graph.score(doc) });
                         }
                     }
                 }
@@ -366,7 +392,7 @@ impl ShardState {
                             continue;
                         };
                         if let Some(theta) = self.fold_ins.theta(doc) {
-                            items.push(RecItem { tweet: e.tweet.0, score: profile.score(&theta) });
+                            scored.push(RecItem { tweet: e.tweet.0, score: profile.score(&theta) });
                         }
                     }
                 }
@@ -374,13 +400,28 @@ impl ShardState {
                 (UserModel::Bag(_), _) => {}
             }
         }
-        // Deterministic total order: the repo-wide top-k contract
-        // ([`pmr_core::rank_cmp`]) — best score first, ties broken by
-        // ascending tweet id, total even for NaN.
-        items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
-        items.truncate(k);
-        Recommendation { query: id, user: user.0, now, items }
+        Recommendation { query: id, user: user.0, now, items: top_k(scored, k) }
     }
+}
+
+/// The best `k` of `scored` under the repo-wide top-k contract
+/// ([`pmr_core::rank_cmp`]: best score first, ties broken by ascending
+/// tweet id, total even for NaN), in a vector of exactly that length.
+///
+/// A window's tweet ids are distinct (`candidate` drops repeat
+/// exposures), so `rank_cmp` orders the items strictly: selecting the
+/// first `k` and sorting only those yields the same items in the same
+/// order as sorting the whole window and truncating, and an unstable sort
+/// cannot reorder equal elements because there are none.
+fn top_k(scored: &mut [RecItem], k: usize) -> Vec<RecItem> {
+    let by_rank = |a: &RecItem, b: &RecItem| rank_cmp(a.score, &a.tweet, b.score, &b.tweet);
+    let keep = k.min(scored.len());
+    if 0 < keep && keep < scored.len() {
+        scored.select_nth_unstable_by(keep - 1, by_rank);
+    }
+    let best = &mut scored[..keep];
+    best.sort_unstable_by(by_rank);
+    best.to_vec()
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -401,5 +442,96 @@ impl std::fmt::Debug for ShardState {
             .field("config", &self.config)
             .field("users", &self.users.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmr_bag::{BagSimilarity, WeightingScheme};
+
+    fn bag(dims: &[u32]) -> Arc<TweetFeatures> {
+        let pairs = dims.iter().map(|&d| (d, 1.0)).collect();
+        Arc::new(TweetFeatures::Bag(SparseVector::from_pairs(pairs).normalized()))
+    }
+
+    #[test]
+    fn answers_over_a_full_window_carry_no_spare_capacity() {
+        // The scored window stays in the worker's scratch; an answer holds
+        // at most k items, allocated at exactly its length.
+        let config = EngineConfig {
+            model: ServeModel::Bag {
+                weighting: WeightingScheme::TFIDF,
+                similarity: BagSimilarity::Cosine,
+                char_grams: false,
+                n: 1,
+                decay: 0.99,
+            },
+            window: 128,
+        };
+        let mut shard = ShardState::new(0, config, BTreeMap::new());
+        let mut scratch = QueryScratch::default();
+        let mut replies = Vec::new();
+        let user = UserId(1);
+        shard.apply(
+            ShardMsg::Observe { user, features: bag(&[0, 1, 2]) },
+            &mut replies,
+            &mut scratch,
+        );
+        for t in 0..200u32 {
+            let features = bag(&[t % 7, t % 3 + 1, t + 10]);
+            let msg = ShardMsg::Candidate { user, tweet: TweetId(t), at: u64::from(t), features };
+            shard.apply(msg, &mut replies, &mut scratch);
+        }
+        let ks = [0, 1, 10, 127, 128, 500];
+        for (id, &k) in ks.iter().enumerate() {
+            let msg = ShardMsg::Query { id: id as u64, user, k, now: 1_000 };
+            shard.apply(msg, &mut replies, &mut scratch);
+        }
+        assert_eq!(replies.len(), ks.len());
+        for (reply, &k) in replies.iter().zip(&ks) {
+            let ShardReply::Recommendation(rec) = reply else {
+                panic!("a query answers with a recommendation");
+            };
+            assert!(rec.items.len() <= k, "k {k}: {} items", rec.items.len());
+            assert_eq!(rec.items.len(), k.min(128), "k {k}: the window holds 128 candidates");
+            assert_eq!(rec.items.capacity(), rec.items.len(), "k {k}: spare capacity");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Few distinct score values, so ties are common, with NaN and −0.0
+    /// among them.
+    const SCORES: [f64; 6] = [0.0, -0.0, 0.25, 1.0, -0.5, f64::NAN];
+
+    fn bits(items: &[RecItem]) -> Vec<(u32, u64)> {
+        items.iter().map(|i| (i.tweet, i.score.to_bits())).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn selection_equals_the_full_sort(
+            scores in proptest::collection::vec(0usize..6, 0..150),
+            mask in 0u32..1024,
+            k in 0usize..160,
+        ) {
+            // Distinct tweet ids in scrambled order, as in a window.
+            let mut items: Vec<RecItem> = scores
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| RecItem { tweet: i as u32 ^ mask, score: SCORES[s] })
+                .collect();
+            let mut sorted = items.clone();
+            sorted.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
+            sorted.truncate(k);
+            let best = top_k(&mut items, k);
+            prop_assert_eq!(bits(&best), bits(&sorted));
+            prop_assert_eq!(best.capacity(), best.len());
+        }
     }
 }

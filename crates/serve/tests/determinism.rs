@@ -366,8 +366,27 @@ fn serving_outputs_match_pinned_digests() {
         }
         options
     };
+    // The serve-read benchmark's shape: the bench preset's TF-IDF cosine
+    // at decay 0.99, full 128-tweet windows and a top-10 query after every
+    // event, so selection over a long window is pinned too.
+    let read_shape = ReplayOptions {
+        config: EngineConfig {
+            model: ServeModel::Bag {
+                weighting: WeightingScheme::TFIDF,
+                similarity: BagSimilarity::Cosine,
+                char_grams: false,
+                n: 1,
+                decay: 0.99,
+            },
+            window: 128,
+        },
+        k: 10,
+        query_every: 1,
+        ..bag_options()
+    };
     let cases = [
         ("bag CS", bag(BagSimilarity::Cosine), 0xafec_fc48_2015_14f6, 0x94d0_419b_3631_2b4f),
+        ("bag read shape", read_shape, 0x3c23_1010_e04c_5385, 0x53e2_f093_d9f6_6605),
         ("bag JS", bag(BagSimilarity::Jaccard), 0x0ebf_e88f_9745_f982, 0x7e40_9b82_ca69_b854),
         (
             "bag GJS",
