@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use pmr_bench::{serve_model, Scale};
+use pmr_bench::{parse_args, serve_model, write_json, FlagError, Flags, Scale};
 use pmr_core::eval::{average_precision, tie_break_key, ScoredDoc};
 use pmr_core::{paired_randomization_test, PreparedCorpus, SplitConfig};
 use pmr_serve::{
@@ -81,14 +81,8 @@ struct DriftBaseline {
     families: Vec<FamilyDrift>,
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("bench_drift: {problem}");
-    eprintln!(
-        "usage: bench_drift [--scale smoke|default|full] [--seed N] [--window N] \
-         [--query-every N] [--refresh N] [--jobs N] [--out PATH]"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage: bench_drift [--scale smoke|default|full] [--seed N] [--window N] \
+     [--query-every N] [--refresh N] [--jobs N] [--out PATH]";
 
 /// The oracle of `model`: the same preset with history decay switched off.
 fn undecayed(mut model: ServeModel) -> ServeModel {
@@ -217,48 +211,36 @@ fn ranking(rec: &Recommendation, relevant: impl Fn(u32) -> bool) -> Vec<ScoredDo
         .collect()
 }
 
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    scale: Scale,
+    seed: u64,
+    window: usize,
+    query_every: usize,
+    refresh: u64,
+    jobs: usize,
+    out: String,
+}
+
+fn parse(args: Vec<String>) -> Result<Args, FlagError> {
+    let f = Flags::parse(
+        args,
+        &["--scale", "--seed", "--window", "--query-every", "--refresh", "--jobs", "--out"],
+    )?;
+    Ok(Args {
+        scale: f.scale()?,
+        seed: f.number("--seed", 42)?,
+        window: f.number("--window", 64)?,
+        query_every: f.number("--query-every", 1)?,
+        refresh: f.number("--refresh", 0)?,
+        jobs: f.jobs(1)?,
+        out: f.text("--out", "results/BENCH_drift.json"),
+    })
+}
+
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut seed: u64 = 42;
-    let mut window: usize = 64;
-    let mut query_every: usize = 1;
-    let mut refresh: u64 = 0;
-    let mut jobs: usize = 1;
-    let mut out = String::from("results/BENCH_drift.json");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| usage(&format!("unknown scale {v:?}")));
-            }
-            "--seed" => {
-                seed = value("--seed").parse().unwrap_or_else(|_| usage("--seed wants a number"))
-            }
-            "--window" => {
-                window =
-                    value("--window").parse().unwrap_or_else(|_| usage("--window wants a number"))
-            }
-            "--query-every" => {
-                query_every = value("--query-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--query-every wants a number"))
-            }
-            "--refresh" => {
-                refresh =
-                    value("--refresh").parse().unwrap_or_else(|_| usage("--refresh wants a number"))
-            }
-            "--jobs" => {
-                jobs = value("--jobs").parse().unwrap_or_else(|_| usage("--jobs wants a number"))
-            }
-            "--out" => out = value("--out"),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-
+    let Args { scale, seed, window, query_every, refresh, jobs, out } = parse_args(USAGE, parse);
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
@@ -305,12 +287,7 @@ fn main() {
         refresh,
         families,
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("output directory is creatable");
-    }
-    std::fs::write(&out, json + "\n").expect("baseline file is writable");
-    eprintln!("wrote {out}");
+    write_json(&out, &baseline).expect("baseline file is writable");
 }
 
 #[cfg(test)]

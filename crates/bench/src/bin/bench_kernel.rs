@@ -12,7 +12,6 @@
 //! measured in-process; the smoke-sweep wall times are passed in, since
 //! the "before" number requires the pre-change build.
 
-use std::process::exit;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -21,6 +20,7 @@ use pmr_bag::{
     AggregationFunction, BagSimilarity, BagVectorizer, IndexedVectorizer, ScoringKernel,
     SparseVector, WeightingScheme,
 };
+use pmr_bench::{parse_args, write_json, FlagError, Flags};
 use pmr_core::{GramKind, GramTable};
 use pmr_sim::TweetId;
 use pmr_text::char_ngrams;
@@ -75,10 +75,17 @@ fn sample_texts(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("bench_kernel: {problem}");
-    eprintln!("usage: bench_kernel [--out PATH] [--sweep-before-s S] [--sweep-after-s S]");
-    exit(2);
+const USAGE: &str = "usage: bench_kernel [--out PATH] [--sweep-before-s S] [--sweep-after-s S]";
+
+/// The command line: the output path and the optional sweep wall times.
+fn parse(args: Vec<String>) -> Result<(String, Option<f64>, Option<f64>), FlagError> {
+    let f = Flags::parse(args, &["--out", "--sweep-before-s", "--sweep-after-s"])?;
+    let seconds = |flag| f.get(flag, "seconds", |v| v.parse().ok());
+    Ok((
+        f.text("--out", "results/BENCH_kernel.json"),
+        seconds("--sweep-before-s")?,
+        seconds("--sweep-after-s")?,
+    ))
 }
 
 /// Mean ns per call of `op` over `iters` timed repetitions.
@@ -94,24 +101,7 @@ fn time_ns<O, F: FnMut() -> O>(iters: u32, mut op: F) -> f64 {
 }
 
 fn main() {
-    let mut out = String::from("results/BENCH_kernel.json");
-    let mut before_s: Option<f64> = None;
-    let mut after_s: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
-        let mut seconds = |flag: &str| {
-            value(flag).parse::<f64>().unwrap_or_else(|_| usage(&format!("{flag} wants seconds")))
-        };
-        match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--sweep-before-s" => before_s = Some(seconds("--sweep-before-s")),
-            "--sweep-after-s" => after_s = Some(seconds("--sweep-after-s")),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-
+    let (out, before_s, after_s) = parse_args(USAGE, parse);
     let texts = sample_texts(200);
     let grams: Vec<Vec<String>> = texts.iter().map(|t| char_ngrams(&t.to_lowercase(), 3)).collect();
     let table = GramTable::from_docs(GramKind::Char, 3, grams.iter());
@@ -174,12 +164,7 @@ fn main() {
         },
     };
 
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("output directory is creatable");
-    }
-    std::fs::write(&out, json + "\n").expect("baseline file is writable");
-    eprintln!("wrote {out}");
+    write_json(&out, &baseline).expect("baseline file is writable");
     eprintln!(
         "  gram extraction (char-3): {:.1}x  vectorize transform: {:.1}x  \
          CS: {:.1}x  JS: {:.1}x  GJS: {:.1}x",

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use pmr_bench::Scale;
+use pmr_bench::{parse_args, write_json, FlagError, Flags, Scale};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
     corpus_ops, precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay,
@@ -133,72 +133,73 @@ struct LoadReport {
     reshard: ReshardLeg,
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("bench_load: {problem}");
-    eprintln!(
-        "usage: bench_load [--scale smoke|default|full] [--seed N] [--model bag|graph] \
-         [--shards N] [--workers N] [--queue N] [--k N] [--query-every N] [--window N] \
-         [--paced-seconds S] [--burst X] [--out PATH]"
-    );
-    exit(2);
+const USAGE: &str = "usage: bench_load [--scale smoke|default|full] [--seed N] \
+     [--model bag|graph] [--shards N] [--workers N] [--queue N] [--k N] [--query-every N] \
+     [--window N] [--paced-seconds S] [--burst X] [--out PATH]";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    scale: Scale,
+    seed: u64,
+    model: String,
+    config: EngineConfig,
+    runtime: RuntimeOptions,
+    k: usize,
+    query_every: usize,
+    paced_seconds: f64,
+    burst: f64,
+    out: String,
+}
+
+fn parse(args: Vec<String>) -> Result<Args, FlagError> {
+    let f = Flags::parse(
+        args,
+        &[
+            "--scale",
+            "--seed",
+            "--model",
+            "--shards",
+            "--workers",
+            "--queue",
+            "--k",
+            "--query-every",
+            "--window",
+            "--paced-seconds",
+            "--burst",
+            "--out",
+        ],
+    )?;
+    let seed = f.number("--seed", 42)?;
+    let model = f.text("--model", "bag");
+    // `drive` never installs a topic background, so only the gram presets
+    // are served.
+    let serve_model = pmr_bench::serve_model(&model, seed, 0)
+        .filter(|m| m.online_topic().is_none())
+        .ok_or_else(|| FlagError(format!("bad --model value {model:?} (want bag|graph)")))?;
+    Ok(Args {
+        scale: f.scale()?,
+        seed,
+        model,
+        config: EngineConfig { model: serve_model, window: f.number("--window", 128)? },
+        runtime: RuntimeOptions {
+            shards: f.number("--shards", 64)?,
+            workers: f.number("--workers", 4)?,
+            queue_capacity: f.number("--queue", 256)?,
+            ..RuntimeOptions::default()
+        },
+        k: f.number("--k", 10)?,
+        query_every: f.number("--query-every", 25)?,
+        paced_seconds: f.number("--paced-seconds", 2.0)?,
+        burst: f.number("--burst", 8.0)?,
+        out: f.text("--out", "results/BENCH_load.json"),
+    })
 }
 
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut seed: u64 = 42;
-    let mut model = String::from("bag");
-    let mut shards: usize = 64;
-    let mut workers: usize = 4;
-    let mut queue: usize = 256;
-    let mut k: usize = 10;
-    let mut query_every: usize = 25;
-    let mut window: usize = 128;
-    let mut paced_seconds: f64 = 2.0;
-    let mut burst: f64 = 8.0;
-    let mut out = String::from("results/BENCH_load.json");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
-        let parse_usize = |flag: &str, v: String| {
-            v.parse::<usize>().unwrap_or_else(|_| usage(&format!("{flag} wants a number")))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| usage(&format!("unknown scale {v:?}")));
-            }
-            "--seed" => {
-                seed = value("--seed").parse().unwrap_or_else(|_| usage("--seed wants a number"))
-            }
-            "--model" => model = value("--model"),
-            "--shards" => shards = parse_usize("--shards", value("--shards")),
-            "--workers" => workers = parse_usize("--workers", value("--workers")),
-            "--queue" => queue = parse_usize("--queue", value("--queue")),
-            "--k" => k = parse_usize("--k", value("--k")),
-            "--query-every" => query_every = parse_usize("--query-every", value("--query-every")),
-            "--window" => window = parse_usize("--window", value("--window")),
-            "--paced-seconds" => {
-                paced_seconds = value("--paced-seconds")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--paced-seconds wants seconds"))
-            }
-            "--burst" => {
-                burst = value("--burst").parse().unwrap_or_else(|_| usage("--burst wants a factor"))
-            }
-            "--out" => out = value("--out"),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-
-    // `drive` never installs a topic background, so only the gram presets
-    // are served.
-    let serve_model = match pmr_bench::serve_model(&model, seed, 0) {
-        Some(m) if m.online_topic().is_none() => m,
-        _ => usage(&format!("unknown model {model:?} (bag|graph)")),
-    };
-    let config = EngineConfig { model: serve_model, window };
+    let Args { scale, seed, model, config, runtime, k, query_every, paced_seconds, burst, out } =
+        parse_args(USAGE, parse);
+    let RuntimeOptions { shards, workers, queue_capacity, .. } = runtime;
 
     eprintln!("preparing corpus (scale {scale:?}, seed {seed})...");
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
@@ -206,12 +207,10 @@ fn main() {
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     // The stream flattened into engine ops (one event fans out to many) so
     // arrivals can be paced individually.
-    let features = precompute_features(&prepared, serve_model, workers.max(1));
+    let features = precompute_features(&prepared, config.model, workers.max(1));
     let ops = corpus_ops(&prepared.corpus, &features, k, query_every);
     assert!(!ops.is_empty(), "the corpus must produce at least one operation");
 
-    let runtime =
-        RuntimeOptions { shards, workers, queue_capacity: queue, ..RuntimeOptions::default() };
     // The determinism reference: an uninterrupted Replay under an
     // arbitrary layout. Every leg below must replicate its rec log.
     let replay_options = ReplayOptions { config, runtime, k, query_every, jobs: 1 };
@@ -306,10 +305,10 @@ fn main() {
         model,
         shards,
         workers,
-        queue_capacity: queue,
+        queue_capacity,
         k,
         query_every,
-        window,
+        window: config.window,
         stream_events: prepared.corpus.len(),
         ops: ops.len(),
         queries: reference.queries,
@@ -318,12 +317,7 @@ fn main() {
         rec_log_identical,
         reshard,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("output directory is creatable");
-    }
-    std::fs::write(&out, json + "\n").expect("report file is writable");
-    eprintln!("wrote {out}");
+    write_json(&out, &report).expect("report file is writable");
     if !report.rec_log_identical || !report.reshard.identical {
         exit(1);
     }

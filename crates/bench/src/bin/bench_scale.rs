@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use pmr_bench::{parse_args, write_json, FlagError, Flags};
 use pmr_serve::{ingest_stream, rec_log, EngineConfig, ReplayOptions, RuntimeOptions, ServeModel};
 use pmr_sim::{ScaleConfig, StreamGenerator};
 
@@ -70,13 +71,50 @@ struct ScaleBaseline {
     serve: ServeReport,
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("bench_scale: {problem}");
-    eprintln!(
-        "usage: bench_scale [--tiers N,N,...] [--seed N] [--materialize-cap N] \
-         [--serve-tier N] [--out PATH]"
-    );
-    exit(2);
+const USAGE: &str = "usage: bench_scale [--tiers N,N,...] [--seed N] [--materialize-cap N] \
+     [--serve-tier N] [--out PATH]";
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Args {
+    /// A probe child (`--probe streaming|materialized --users N`): one tier
+    /// in one mode.
+    Probe { users: u64, seed: u64, materialized: bool },
+    /// The benchmark itself.
+    Bench { tiers: Vec<u64>, seed: u64, materialize_cap: u64, serve_tier: u64, out: String },
+}
+
+fn parse(args: Vec<String>) -> Result<Args, FlagError> {
+    let f = Flags::parse(
+        args,
+        &["--tiers", "--seed", "--materialize-cap", "--serve-tier", "--out", "--probe", "--users"],
+    )?;
+    let seed = f.number("--seed", 42)?;
+    // A scale corpus needs at least two users.
+    let users = |t: &str| t.trim().parse().ok().filter(|&n: &u64| n >= 2);
+    let mode = |m: &str| match m {
+        "streaming" => Some(false),
+        "materialized" => Some(true),
+        _ => None,
+    };
+    if let Some(materialized) = f.get("--probe", "streaming|materialized", mode)? {
+        let users = f.get("--users", "N >= 2", users)?;
+        let users = users.ok_or_else(|| FlagError("--probe needs --users".to_owned()))?;
+        return Ok(Args::Probe { users, seed, materialized });
+    }
+    if f.optional_text("--users").is_some() {
+        return Err(FlagError("--users only applies with --probe".to_owned()));
+    }
+    let tiers = |v: &str| v.split(',').map(users).collect();
+    Ok(Args::Bench {
+        tiers: f
+            .get("--tiers", "N,N,... with every N >= 2", tiers)?
+            .unwrap_or_else(|| vec![1_000, 10_000, 100_000]),
+        seed,
+        materialize_cap: f.number("--materialize-cap", 10_000)?,
+        serve_tier: f.get("--serve-tier", "N >= 2", users)?.unwrap_or(1_000),
+        out: f.text("--out", "results/BENCH_scale.json"),
+    })
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -105,48 +143,38 @@ fn fold_event(
 }
 
 /// Probe child: generate one tier in one mode, print a [`Probe`] JSON line.
-fn run_probe(users: usize, seed: u64, mode: &str) -> ! {
+fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
     let start = Instant::now();
     let gen = StreamGenerator::plan(ScaleConfig::tier(users, seed));
     let mut hash = FNV_OFFSET;
-    let events = match mode {
-        "streaming" => {
-            let mut count = 0u64;
-            for rec in gen.events() {
-                let e = rec.event;
-                fold_event(
-                    &mut hash,
-                    e.at,
-                    e.tweet.0,
-                    e.author.0,
-                    e.retweet_of.map(|t| t.0),
-                    &rec.text,
-                );
-                count += 1;
-            }
-            count
+    let events = if materialized {
+        let corpus = gen.materialize();
+        let stream = corpus.event_stream();
+        for e in &stream {
+            let text = &corpus.tweet(e.tweet).text;
+            fold_event(&mut hash, e.at, e.tweet.0, e.author.0, e.retweet_of.map(|t| t.0), text);
         }
-        "materialized" => {
-            let corpus = gen.materialize();
-            let stream = corpus.event_stream();
-            for e in &stream {
-                fold_event(
-                    &mut hash,
-                    e.at,
-                    e.tweet.0,
-                    e.author.0,
-                    e.retweet_of.map(|t| t.0),
-                    &corpus.tweet(e.tweet).text,
-                );
-            }
-            stream.len() as u64
+        stream.len() as u64
+    } else {
+        let mut count = 0u64;
+        for rec in gen.events() {
+            let e = rec.event;
+            fold_event(
+                &mut hash,
+                e.at,
+                e.tweet.0,
+                e.author.0,
+                e.retweet_of.map(|t| t.0),
+                &rec.text,
+            );
+            count += 1;
         }
-        other => usage(&format!("unknown probe mode {other:?}")),
+        count
     };
     let wall_s = start.elapsed().as_secs_f64();
     let probe = Probe {
         users: users as u64,
-        mode: mode.to_owned(),
+        mode: if materialized { "materialized" } else { "streaming" }.to_owned(),
         events,
         wall_s,
         events_per_sec: events as f64 / wall_s.max(1e-9),
@@ -164,14 +192,16 @@ fn spawn_probe(users: u64, seed: u64, mode: &str) -> Probe {
         .args(["--probe", mode, "--users", &users.to_string(), "--seed", &seed.to_string()])
         .output()
         .expect("probe child spawns");
-    if !output.status.success() {
-        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-        usage(&format!("probe ({users} users, {mode}) failed: {}", output.status));
-    }
+    assert!(
+        output.status.success(),
+        "probe ({users} users, {mode}) failed: {}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
     let stdout = String::from_utf8(output.stdout).expect("probe output is UTF-8");
     let line = stdout.lines().last().unwrap_or_default();
     serde_json::from_str(line)
-        .unwrap_or_else(|e| usage(&format!("probe ({users} users, {mode}) bad output: {e}")))
+        .unwrap_or_else(|e| panic!("probe ({users} users, {mode}) bad output: {e}"))
 }
 
 /// The serving leg: the same power-law stream through two shard layouts
@@ -227,75 +257,12 @@ fn run_serve_leg(users: u64, seed: u64) -> ServeReport {
 }
 
 fn main() {
-    let mut tiers: Vec<u64> = vec![1_000, 10_000, 100_000];
-    let mut seed: u64 = 42;
-    let mut materialize_cap: u64 = 10_000;
-    let mut serve_tier: u64 = 1_000;
-    let mut out = String::from("results/BENCH_scale.json");
-    let mut probe: Option<(String, u64)> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
-        match arg.as_str() {
-            "--tiers" => {
-                tiers = value("--tiers")
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage("--tiers wants numbers")))
-                    .collect();
-            }
-            "--seed" => {
-                seed = value("--seed").parse().unwrap_or_else(|_| usage("--seed wants a number"))
-            }
-            "--materialize-cap" => {
-                materialize_cap = value("--materialize-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--materialize-cap wants a number"))
-            }
-            "--serve-tier" => {
-                serve_tier = value("--serve-tier")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--serve-tier wants a number"))
-            }
-            "--out" => out = value("--out"),
-            "--probe" => {
-                let mode = value("--probe");
-                let mut users = 0u64;
-                let mut pseed = seed;
-                while let Some(a) = args.next() {
-                    let mut v = |flag: &str| {
-                        args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")))
-                    };
-                    match a.as_str() {
-                        "--users" => {
-                            users = v("--users")
-                                .parse()
-                                .unwrap_or_else(|_| usage("--users wants a number"))
-                        }
-                        "--seed" => {
-                            pseed = v("--seed")
-                                .parse()
-                                .unwrap_or_else(|_| usage("--seed wants a number"))
-                        }
-                        other => usage(&format!("unknown probe flag {other}")),
-                    }
-                }
-                if users == 0 {
-                    usage("--probe needs --users");
-                }
-                probe = Some((mode, users));
-                seed = pseed;
-            }
-            other => usage(&format!("unknown flag {other}")),
+    let (tiers, seed, materialize_cap, serve_tier, out) = match parse_args(USAGE, parse) {
+        Args::Probe { users, seed, materialized } => run_probe(users as usize, seed, materialized),
+        Args::Bench { tiers, seed, materialize_cap, serve_tier, out } => {
+            (tiers, seed, materialize_cap, serve_tier, out)
         }
-    }
-    if let Some((mode, users)) = probe {
-        run_probe(users as usize, seed, &mode);
-    }
-    if tiers.is_empty() {
-        usage("--tiers must name at least one tier");
-    }
+    };
 
     let mut reports = Vec::new();
     for &users in &tiers {
@@ -338,10 +305,39 @@ fn main() {
         tiers: reports,
         serve,
     };
-    let json = serde_json::to_string_pretty(&reference).expect("baseline serializes");
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("output directory is creatable");
+    write_json(&out, &reference).expect("baseline file is writable");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Args, FlagError> {
+        parse(args.iter().map(|s| s.to_string()).collect())
     }
-    std::fs::write(&out, json + "\n").expect("baseline file is writable");
-    eprintln!("wrote {out}");
+
+    #[test]
+    fn the_probe_child_command_line_parses() {
+        let args = parse_strs(&["--probe", "materialized", "--users", "1000", "--seed", "7"]);
+        match args.unwrap() {
+            Args::Probe { users, seed, materialized } => {
+                assert_eq!((users, seed, materialized), (1000, 7, true))
+            }
+            other => panic!("not a probe: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_corpus_below_two_users_or_a_stray_probe_flag_is_rejected() {
+        let cases: [&[&str]; 5] = [
+            &["--tiers", "1000,1"],
+            &["--serve-tier", "0"],
+            &["--probe", "streaming", "--users", "1"],
+            &["--probe", "streaming"],
+            &["--users", "5"],
+        ];
+        for args in cases {
+            assert!(parse_strs(args).is_err(), "{args:?} parsed");
+        }
+    }
 }

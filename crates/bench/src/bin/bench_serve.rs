@@ -12,12 +12,11 @@
 //! shard and thread counts. All timing lives in `BENCH_serve.json`, which
 //! is machine-specific and *excluded* from any determinism comparison.
 
-use std::process::exit;
 use std::time::Instant;
 
 use serde::Serialize;
 
-use pmr_bench::Scale;
+use pmr_bench::{parse_args, write_json, FlagError, Flags, Scale};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{rec_log, EngineConfig, Replay, ReplayOptions, RuntimeOptions};
 use pmr_sim::{generate_corpus, SimConfig};
@@ -64,80 +63,68 @@ struct ServeBaseline {
     query_latency: LatencySummary,
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("bench_serve: {problem}");
-    eprintln!(
-        "usage: bench_serve [--scale smoke|default|full] [--seed N] [--model bag|graph|topic] \
-         [--shards N] [--workers N] [--jobs N] [--k N] \
-         [--query-every N] [--window N] [--queue N] [--refresh N] [--out PATH] [--rec-log PATH]"
-    );
-    exit(2);
+const USAGE: &str = "usage: bench_serve [--scale smoke|default|full] [--seed N] \
+     [--model bag|graph|topic] [--shards N] [--workers N] [--jobs N] [--k N] [--query-every N] \
+     [--window N] [--queue N] [--refresh N] [--out PATH] [--rec-log PATH]";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    scale: Scale,
+    seed: u64,
+    model: String,
+    options: ReplayOptions,
+    out: String,
+    rec_log: Option<String>,
+}
+
+fn parse(args: Vec<String>) -> Result<Args, FlagError> {
+    let f = Flags::parse(
+        args,
+        &[
+            "--scale",
+            "--seed",
+            "--model",
+            "--shards",
+            "--workers",
+            "--jobs",
+            "--k",
+            "--query-every",
+            "--window",
+            "--queue",
+            "--refresh",
+            "--out",
+            "--rec-log",
+        ],
+    )?;
+    let seed = f.number("--seed", 42)?;
+    let model = f.text("--model", "bag");
+    let serve_model = pmr_bench::serve_model(&model, seed, f.number("--refresh", 0)?)
+        .ok_or_else(|| FlagError(format!("bad --model value {model:?} (want bag|graph|topic)")))?;
+    let options = ReplayOptions {
+        config: EngineConfig { model: serve_model, window: f.number("--window", 128)? },
+        runtime: RuntimeOptions {
+            shards: f.number("--shards", 4)?,
+            workers: f.number("--workers", RuntimeOptions::default().workers)?,
+            queue_capacity: f.number("--queue", 1024)?,
+            ..RuntimeOptions::default()
+        },
+        k: f.number("--k", 10)?,
+        query_every: f.number("--query-every", 25)?,
+        jobs: f.jobs(1)?,
+    };
+    Ok(Args {
+        scale: f.scale()?,
+        seed,
+        model,
+        options,
+        out: f.text("--out", "results/BENCH_serve.json"),
+        rec_log: f.optional_text("--rec-log"),
+    })
 }
 
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut seed: u64 = 42;
-    let mut model = String::from("bag");
-    let mut shards: usize = 4;
-    let mut workers: usize = RuntimeOptions::default().workers;
-    let mut jobs: usize = 1;
-    let mut k: usize = 10;
-    let mut query_every: usize = 25;
-    let mut window: usize = 128;
-    let mut queue: usize = 1024;
-    let mut refresh: u64 = 0;
-    let mut out = String::from("results/BENCH_serve.json");
-    let mut rec_log_path: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} requires a value")));
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| usage(&format!("unknown scale {v:?}")));
-            }
-            "--seed" => {
-                seed = value("--seed").parse().unwrap_or_else(|_| usage("--seed wants a number"))
-            }
-            "--model" => model = value("--model"),
-            "--shards" => {
-                shards =
-                    value("--shards").parse().unwrap_or_else(|_| usage("--shards wants a number"))
-            }
-            "--workers" => {
-                workers =
-                    value("--workers").parse().unwrap_or_else(|_| usage("--workers wants a number"))
-            }
-            "--jobs" => {
-                jobs = value("--jobs").parse().unwrap_or_else(|_| usage("--jobs wants a number"))
-            }
-            "--k" => k = value("--k").parse().unwrap_or_else(|_| usage("--k wants a number")),
-            "--query-every" => {
-                query_every = value("--query-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--query-every wants a number"))
-            }
-            "--window" => {
-                window =
-                    value("--window").parse().unwrap_or_else(|_| usage("--window wants a number"))
-            }
-            "--queue" => {
-                queue = value("--queue").parse().unwrap_or_else(|_| usage("--queue wants a number"))
-            }
-            "--refresh" => {
-                refresh =
-                    value("--refresh").parse().unwrap_or_else(|_| usage("--refresh wants a number"))
-            }
-            "--out" => out = value("--out"),
-            "--rec-log" => rec_log_path = Some(value("--rec-log")),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-
-    let serve_model = pmr_bench::serve_model(&model, seed, refresh)
-        .unwrap_or_else(|| usage(&format!("unknown model {model:?} (bag|graph|topic)")));
+    let Args { scale, seed, model, options, out, rec_log: rec_log_path } = parse_args(USAGE, parse);
 
     // The injected-clock recorder feeds the `serve.query` histogram and
     // the engine's counters; without it every observation is a no-op.
@@ -147,18 +134,6 @@ fn main() {
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
-    let options = ReplayOptions {
-        config: EngineConfig { model: serve_model, window },
-        runtime: RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            ..RuntimeOptions::default()
-        },
-        k,
-        query_every,
-        jobs,
-    };
     let mut replay = Replay::new(&prepared, options);
     let prep_s = prep_start.elapsed().as_secs_f64();
 
@@ -176,13 +151,13 @@ fn main() {
         scale: format!("{scale:?}").to_lowercase(),
         seed,
         model,
-        shards,
-        workers,
-        jobs,
-        k,
-        query_every,
-        window,
-        queue_capacity: queue,
+        shards: options.runtime.shards,
+        workers: options.runtime.workers,
+        jobs: options.jobs,
+        k: options.k,
+        query_every: options.query_every,
+        window: options.config.window,
+        queue_capacity: options.runtime.queue_capacity,
         events: outcome.events,
         queries: outcome.queries,
         candidates: metrics.counter("serve.candidates"),
@@ -214,12 +189,7 @@ fn main() {
         eprintln!("wrote {path} ({} recommendations)", outcome.recommendations.len());
     }
 
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).expect("output directory is creatable");
-    }
-    std::fs::write(&out, json + "\n").expect("baseline file is writable");
-    eprintln!("wrote {out}");
+    write_json(&out, &baseline).expect("baseline file is writable");
     eprintln!(
         "  {} events in {replay_s:.2}s ({:.0} events/s), {} queries, \
          p50 {}µs p99 {}µs",
@@ -229,4 +199,50 @@ fn main() {
         baseline.query_latency.p50_us,
         baseline.query_latency.p99_us
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Args, FlagError> {
+        parse(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    fn rejection(args: &[&str]) -> String {
+        parse_strs(args).expect_err("the command line is rejected").0
+    }
+
+    #[test]
+    fn every_flag_keeps_its_default() {
+        let args = parse_strs(&[]).unwrap();
+        assert_eq!((args.scale, args.seed, args.model.as_str()), (Scale::Smoke, 42, "bag"));
+        let expected = ReplayOptions {
+            config: EngineConfig {
+                model: pmr_bench::serve_model("bag", 42, 0).unwrap(),
+                window: 128,
+            },
+            runtime: RuntimeOptions {
+                shards: 4,
+                queue_capacity: 1024,
+                ..RuntimeOptions::default()
+            },
+            k: 10,
+            query_every: 25,
+            jobs: 1,
+        };
+        assert_eq!(args.options, expected);
+        assert_eq!((args.out.as_str(), args.rec_log), ("results/BENCH_serve.json", None));
+        let topic = parse_strs(&["--model", "topic", "--refresh", "400", "--seed", "7"]).unwrap();
+        assert_eq!(topic.options.config.model, pmr_bench::serve_model("topic", 7, 400).unwrap());
+    }
+
+    #[test]
+    fn a_bad_command_line_is_rejected_naming_its_flag() {
+        assert_eq!(rejection(&["--no-such-flag"]), "unknown flag --no-such-flag");
+        assert_eq!(rejection(&["--k", "5", "--shards"]), "--shards needs a value");
+        assert!(rejection(&["--window", "12x"]).contains("--window"));
+        assert!(rejection(&["--jobs", "0"]).contains("--jobs"));
+        assert!(rejection(&["--model", "lstm"]).contains("--model"));
+    }
 }

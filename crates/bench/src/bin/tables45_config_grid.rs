@@ -3,12 +3,14 @@
 //! rules applied (223 configurations in total; PLSA's 48 excluded by the
 //! memory constraint).
 //!
-//! Takes no harness flags — the grid is static, so neither the corpus
-//! options nor `--jobs` apply.
+//! Takes no flags — the grid is static, so neither the corpus options nor
+//! `--jobs` apply — and exits 2 on any argument.
 
+use pmr_bench::{parse_args, Flags};
 use pmr_core::{ConfigGrid, ModelFamily};
 
 fn main() {
+    parse_args("usage: tables45_config_grid (takes no flags)", |args| Flags::parse(args, &[]));
     let grid = ConfigGrid::paper();
 
     println!("Tables 4 & 5: model configurations after validity + constraint pruning\n");

@@ -1,4 +1,4 @@
-//! Shared harness plumbing: CLI options, the sweep cache, table rendering.
+//! Shared harness plumbing: the harness options and the sweep cache.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
@@ -15,6 +15,8 @@ use pmr_core::{
 };
 use pmr_sim::usertype::UserGroup;
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig, UserId};
+
+use crate::cli::{parse_args, write_json, FlagError, Flags};
 
 /// Corpus/experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,7 +86,7 @@ pub struct HarnessOptions {
     pub sources: Vec<RepresentationSource>,
     /// Output/cache directory.
     pub out_dir: PathBuf,
-    /// User group filter for figure binaries.
+    /// Restricts the report's Figures 3–6 to one user group.
     pub group: Option<UserGroup>,
     /// Sweep worker threads (defaults to the available parallelism).
     pub jobs: usize,
@@ -111,86 +113,62 @@ impl Default for HarnessOptions {
     }
 }
 
+/// The harness binaries' usage text.
+pub const USAGE: &str = "usage: <bin> [--scale smoke|default|full] [--seed N] [--iter-scale F]\n\
+     \x20      [--families TN,CN,...] [--sources all|figures|R,T,...]\n\
+     \x20      [--out DIR] [--group all|is|bu|ip] [--jobs N]\n\
+     \x20      [--journal PATH] [--metrics-out PATH]\n\
+     \n\
+     --jobs N fans the sweep across N worker threads (default: all\n\
+     cores); results are identical for every N.\n\
+     --journal PATH writes a JSONL event journal (diagnostic only;\n\
+     excluded from determinism comparisons). --metrics-out PATH writes\n\
+     a metrics summary (counters, gauges, duration histograms).";
+
 impl HarnessOptions {
-    /// Parse `--flag value` style arguments; unknown flags abort with usage.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> HarnessOptions {
-        let mut opts = HarnessOptions::default();
-        let mut explicit_iter_scale = false;
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> String {
-                it.next().unwrap_or_else(|| usage(&format!("{name} needs a value")))
-            };
-            match flag.as_str() {
-                "--scale" => {
-                    let v = value("--scale");
-                    opts.scale =
-                        Scale::parse(&v).unwrap_or_else(|| usage(&format!("bad scale {v}")));
-                }
-                "--seed" => {
-                    opts.seed = value("--seed").parse().unwrap_or_else(|_| usage("bad seed"));
-                }
-                "--iter-scale" => {
-                    opts.iteration_scale =
-                        value("--iter-scale").parse().unwrap_or_else(|_| usage("bad iter-scale"));
-                    explicit_iter_scale = true;
-                }
-                "--families" => {
-                    opts.families = value("--families")
-                        .split(',')
-                        .map(|f| {
-                            parse_family(f).unwrap_or_else(|| usage(&format!("bad family {f}")))
-                        })
-                        .collect();
-                }
-                "--sources" => {
-                    let v = value("--sources");
-                    opts.sources = match v.as_str() {
-                        "all" => RepresentationSource::ALL.to_vec(),
-                        "figures" => RepresentationSource::FIGURES.to_vec(),
-                        list => list
-                            .split(',')
-                            .map(|s| {
-                                parse_source(s).unwrap_or_else(|| usage(&format!("bad source {s}")))
-                            })
-                            .collect(),
-                    };
-                }
-                "--out" => opts.out_dir = PathBuf::from(value("--out")),
-                "--group" => {
-                    let v = value("--group");
-                    opts.group = Some(match v.as_str() {
-                        "all" => UserGroup::All,
-                        "is" => UserGroup::IS,
-                        "bu" => UserGroup::BU,
-                        "ip" => UserGroup::IP,
-                        _ => usage(&format!("bad group {v}")),
-                    });
-                }
-                "--jobs" => {
-                    opts.jobs = value("--jobs")
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or_else(|| usage("bad jobs (want an integer >= 1)"));
-                }
-                "--journal" => opts.journal = Some(PathBuf::from(value("--journal"))),
-                "--metrics-out" => {
-                    opts.metrics_out = Some(PathBuf::from(value("--metrics-out")));
-                }
-                "--help" | "-h" => usage("help requested"),
-                other => usage(&format!("unknown flag {other}")),
-            }
-        }
-        if !explicit_iter_scale {
-            opts.iteration_scale = opts.scale.iteration_scale();
-        }
-        opts
+    /// Parse `--flag value` style arguments.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOptions, FlagError> {
+        let flags = Flags::parse(
+            args,
+            &[
+                "--scale",
+                "--seed",
+                "--iter-scale",
+                "--families",
+                "--sources",
+                "--out",
+                "--group",
+                "--jobs",
+                "--journal",
+                "--metrics-out",
+            ],
+        )?;
+        let defaults = HarnessOptions::default();
+        let scale = flags.scale()?;
+        let iter_scale = |v: &str| v.parse().ok().filter(|f: &f64| f.is_finite() && *f >= 0.0);
+        let families = |v: &str| v.split(',').map(parse_family).collect();
+        Ok(HarnessOptions {
+            scale,
+            seed: flags.number("--seed", defaults.seed)?,
+            iteration_scale: flags
+                .get("--iter-scale", "a finite number >= 0", iter_scale)?
+                .unwrap_or_else(|| scale.iteration_scale()),
+            families: flags.get("--families", "TN,CN,...", families)?.unwrap_or_default(),
+            sources: flags
+                .get("--sources", "all|figures|R,T,...", parse_sources)?
+                .unwrap_or_default(),
+            out_dir: flags.optional_text("--out").map_or(defaults.out_dir, PathBuf::from),
+            group: flags.get("--group", "all|is|bu|ip", parse_group)?,
+            jobs: flags.jobs(defaults.jobs)?,
+            journal: flags.optional_text("--journal").map(PathBuf::from),
+            metrics_out: flags.optional_text("--metrics-out").map(PathBuf::from),
+        })
     }
 
-    /// Parse from the process arguments.
+    /// Parse from the process arguments, or print the error and [`USAGE`]
+    /// and exit 2.
     pub fn from_env() -> HarnessOptions {
-        HarnessOptions::parse(std::env::args().skip(1))
+        parse_args(USAGE, HarnessOptions::parse)
     }
 
     /// The simulator configuration for these options.
@@ -277,45 +255,13 @@ impl HarnessOptions {
     /// recorder down, flushing the journal. Safe to call without a prior
     /// [`Self::install_observability`].
     pub fn finish_observability(&self) {
-        if let Some(path) = &self.metrics_out {
-            if let Some(snapshot) = pmr_obs::snapshot() {
-                match serde_json::to_string_pretty(&snapshot) {
-                    Ok(json) => {
-                        if let Some(dir) = path.parent() {
-                            if !dir.as_os_str().is_empty() {
-                                let _ = std::fs::create_dir_all(dir);
-                            }
-                        }
-                        match std::fs::write(path, json) {
-                            Ok(()) => eprintln!("wrote metrics summary to {}", path.display()),
-                            Err(e) => {
-                                eprintln!("could not write metrics {}: {e}", path.display());
-                            }
-                        }
-                    }
-                    Err(e) => eprintln!("could not serialize metrics: {e}"),
-                }
+        if let (Some(path), Some(snapshot)) = (&self.metrics_out, pmr_obs::snapshot()) {
+            if let Err(e) = write_json(path, &snapshot) {
+                eprintln!("could not write metrics {}: {e}", path.display());
             }
         }
         pmr_obs::uninstall();
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: <bin> [--scale smoke|default|full] [--seed N] [--iter-scale F]\n\
-         \x20      [--families TN,CN,...] [--sources all|figures|R,T,...]\n\
-         \x20      [--out DIR] [--group all|is|bu|ip] [--jobs N]\n\
-         \x20      [--journal PATH] [--metrics-out PATH]\n\
-         \n\
-         --jobs N fans the sweep across N worker threads (default: all\n\
-         cores); results are identical for every N.\n\
-         --journal PATH writes a JSONL event journal (diagnostic only;\n\
-         excluded from determinism comparisons). --metrics-out PATH writes\n\
-         a metrics summary (counters, gauges, duration histograms)."
-    );
-    std::process::exit(2);
 }
 
 fn parse_family(s: &str) -> Option<ModelFamily> {
@@ -334,8 +280,27 @@ fn parse_family(s: &str) -> Option<ModelFamily> {
     }
 }
 
-fn parse_source(s: &str) -> Option<RepresentationSource> {
-    RepresentationSource::ALL.into_iter().find(|src| src.name().eq_ignore_ascii_case(s))
+fn parse_sources(list: &str) -> Option<Vec<RepresentationSource>> {
+    match list {
+        "all" => Some(RepresentationSource::ALL.to_vec()),
+        "figures" => Some(RepresentationSource::FIGURES.to_vec()),
+        list => list
+            .split(',')
+            .map(|s| {
+                RepresentationSource::ALL.into_iter().find(|src| src.name().eq_ignore_ascii_case(s))
+            })
+            .collect(),
+    }
+}
+
+fn parse_group(s: &str) -> Option<UserGroup> {
+    match s {
+        "all" => Some(UserGroup::All),
+        "is" => Some(UserGroup::IS),
+        "bu" => Some(UserGroup::BU),
+        "ip" => Some(UserGroup::IP),
+        _ => None,
+    }
 }
 
 /// A persisted sweep: measurements over All Users plus the group membership
@@ -582,6 +547,13 @@ impl SweepCache {
         Self::group_map_in(result, &self.group_member_set(group))
     }
 
+    /// The group MAP of every measurement `keep` selects, in sweep order.
+    fn group_maps(&self, group: UserGroup, keep: impl Fn(&ConfigResult) -> bool) -> Vec<f64> {
+        let members = self.group_member_set(group);
+        let kept = self.sweep.results.iter().filter(|r| keep(r));
+        kept.map(|r| Self::group_map_in(r, &members)).collect()
+    }
+
     /// Min/mean/max MAP of `(family, source)` over its configurations for a
     /// group — one bar triple of Figures 3–6.
     pub fn summary(
@@ -590,29 +562,13 @@ impl SweepCache {
         source: RepresentationSource,
         group: UserGroup,
     ) -> MapSummary {
-        let members = self.group_member_set(group);
-        let maps: Vec<f64> = self
-            .sweep
-            .results
-            .iter()
-            .filter(|r| r.family == family && r.source == source)
-            .map(|r| Self::group_map_in(r, &members))
-            .collect();
-        MapSummary::from_maps(&maps)
+        MapSummary::from_maps(&self.group_maps(group, |r| r.family == family && r.source == source))
     }
 
     /// Min/mean/max MAP of a source over every configuration — one Table 6
     /// cell triple.
     pub fn source_summary(&self, source: RepresentationSource, group: UserGroup) -> MapSummary {
-        let members = self.group_member_set(group);
-        let maps: Vec<f64> = self
-            .sweep
-            .results
-            .iter()
-            .filter(|r| r.source == source)
-            .map(|r| Self::group_map_in(r, &members))
-            .collect();
-        MapSummary::from_maps(&maps)
+        MapSummary::from_maps(&self.group_maps(group, |r| r.source == source))
     }
 
     /// The best configuration of `(family, source)` averaged over all user
@@ -638,14 +594,18 @@ impl SweepCache {
     }
 }
 
-/// Right-pad to a column width.
-pub fn pad(s: &str, w: usize) -> String {
-    format!("{s:<w$}")
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<HarnessOptions, FlagError> {
+        HarnessOptions::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    /// The error message of a rejected command line.
+    fn rejection(args: &[&str]) -> String {
+        parse(args).expect_err("the command line is rejected").0
+    }
 
     #[test]
     fn parses_flags() {
@@ -653,7 +613,8 @@ mod tests {
             ["--scale", "default", "--seed", "7", "--sources", "R,T", "--families", "TN"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(opts.scale, Scale::Default);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.sources, vec![RepresentationSource::R, RepresentationSource::T]);
@@ -663,9 +624,9 @@ mod tests {
 
     #[test]
     fn parses_jobs_flag() {
-        let opts = HarnessOptions::parse(["--jobs", "3"].iter().map(|s| s.to_string()));
+        let opts = HarnessOptions::parse(["--jobs", "3"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(opts.jobs, 3);
-        let opts = HarnessOptions::parse(std::iter::empty());
+        let opts = HarnessOptions::parse(std::iter::empty()).unwrap();
         assert!(opts.jobs >= 1, "default jobs comes from available parallelism");
     }
 
@@ -673,20 +634,80 @@ mod tests {
     fn iter_scale_override_sticks() {
         let opts = HarnessOptions::parse(
             ["--iter-scale", "0.5", "--scale", "smoke"].iter().map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(opts.iteration_scale, 0.5);
     }
 
     #[test]
     fn source_keywords_expand() {
-        let opts = HarnessOptions::parse(["--sources", "figures"].iter().map(|s| s.to_string()));
+        let opts =
+            HarnessOptions::parse(["--sources", "figures"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(opts.sources.len(), 8);
-        let opts = HarnessOptions::parse(["--sources", "all"].iter().map(|s| s.to_string()));
+        let opts =
+            HarnessOptions::parse(["--sources", "all"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(opts.sources.len(), 13);
     }
 
+    #[test]
+    fn every_flag_keeps_its_default() {
+        let opts = parse(&[]).unwrap();
+        let defaults = HarnessOptions::default();
+        assert_eq!((opts.scale, opts.seed, opts.jobs), (Scale::Smoke, 42, defaults.jobs));
+        assert_eq!(opts.iteration_scale, Scale::Smoke.iteration_scale());
+        assert!(opts.families.is_empty() && opts.sources.is_empty() && opts.group.is_none());
+        assert_eq!(opts.out_dir, PathBuf::from("results"));
+        assert!(opts.journal.is_none() && opts.metrics_out.is_none());
+        let opts = parse(&["--group", "ip", "--out", "x", "--journal", "j", "--metrics-out", "m"]);
+        let opts = opts.unwrap();
+        assert_eq!(opts.group, Some(UserGroup::IP));
+        assert_eq!(opts.out_dir, PathBuf::from("x"));
+        assert_eq!(opts.journal, Some(PathBuf::from("j")));
+        assert_eq!(opts.metrics_out, Some(PathBuf::from("m")));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        assert_eq!(rejection(&["--no-such-flag", "1"]), "unknown flag --no-such-flag");
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_rejected() {
+        assert_eq!(rejection(&["--seed", "7", "--jobs"]), "--jobs needs a value");
+    }
+
+    #[test]
+    fn an_unparsable_value_is_rejected() {
+        assert!(rejection(&["--seed", "x7"]).contains("--seed"));
+        assert!(rejection(&["--scale", "huge"]).contains("--scale"));
+        assert!(rejection(&["--families", "TN,XYZ"]).contains("--families"));
+        assert!(rejection(&["--sources", "R,Q"]).contains("--sources"));
+        assert!(rejection(&["--group", "vip"]).contains("--group"));
+    }
+
+    #[test]
+    fn zero_jobs_are_rejected() {
+        assert!(rejection(&["--jobs", "0"]).contains("--jobs"));
+    }
+
+    #[test]
+    fn an_infinite_iter_scale_is_rejected() {
+        assert!(rejection(&["--iter-scale", "inf"]).contains("--iter-scale"));
+    }
+
+    #[test]
+    fn a_nan_iter_scale_is_rejected() {
+        assert!(rejection(&["--iter-scale", "nan"]).contains("--iter-scale"));
+    }
+
+    #[test]
+    fn a_negative_iter_scale_is_rejected() {
+        assert!(rejection(&["--iter-scale", "-0.5"]).contains("--iter-scale"));
+        assert_eq!(parse(&["--iter-scale", "0"]).unwrap().iteration_scale, 0.0);
+    }
+
     /// A 9-run TNG × R smoke sweep: small enough for unit tests.
-    fn tiny_opts() -> HarnessOptions {
+    pub(crate) fn tiny_opts() -> HarnessOptions {
         HarnessOptions {
             families: vec![ModelFamily::TNG],
             sources: vec![RepresentationSource::R],
@@ -713,6 +734,7 @@ mod tests {
         assert_eq!(cache.sweep.results.len(), 9, "TNG spans 3 n-sizes × 3 similarities");
         let summary = cache.summary(ModelFamily::TNG, RepresentationSource::R, UserGroup::All);
         assert!(summary.max > 0.0);
+        assert!(cache.sweep.train_time_stats(ModelFamily::TNG).max > std::time::Duration::ZERO);
         assert_eq!(cache.families, vec!["TNG".to_owned()]);
         assert_eq!(cache.sources, vec!["R".to_owned()]);
         let json = serde_json::to_string(&cache).unwrap();

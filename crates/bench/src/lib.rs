@@ -6,13 +6,10 @@
 //! | Binary | Regenerates |
 //! |--------|-------------|
 //! | `run_sweep` | the full 223-configuration × 13-source sweep (cached as JSON; every other binary reuses it) |
-//! | `table2_dataset_stats` | Table 2 — dataset statistics per user group |
-//! | `table3_languages` | Table 3 — the ten most frequent languages |
+//! | `write_report` | Tables 2, 3, 6 and 7 and Figures 3–7 as markdown sections, rendered by [`report`] |
 //! | `tables45_config_grid` | Tables 4 & 5 — the configuration grid |
-//! | `fig3_6_effectiveness` | Figures 3–6 — min/mean/max MAP of the 9 models × 8 sources per user group, with CHR/RAN baselines |
-//! | `table6_sources` | Table 6 — min/mean/max MAP of all 13 sources × 4 user types |
-//! | `fig7_time` | Figure 7 — TTime and ETime per model |
-//! | `table7_best_configs` | Table 7 — the best configuration per model × source |
+//! | `significance` | the paper's paired significance statements |
+//! | `ablations` | ablations of the design choices |
 //!
 //! A sweep measures each `(configuration, source)` pair once over all 60
 //! users and stores per-user APs; group-level MAPs (All/IS/BU/IP) are
@@ -20,13 +17,19 @@
 //! on the train sets of *all* users and context models per user.
 //!
 //! The serving binaries (`bench_serve`, `bench_load`, `bench_drift`) share
-//! one preset per incremental model family: [`serve_model`].
+//! one preset per incremental model family: [`serve_model`]. Every binary
+//! but `pmr_benchmark` (kept apart from the code it measures) parses its
+//! flags with [`Flags`], and the benchmarks write their `BENCH_*.json`
+//! with [`write_json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod harness;
+pub mod report;
 
+pub use cli::{parse_args, write_json, FlagError, Flags};
 pub use harness::{HarnessOptions, Scale, SweepCache};
 
 use pmr_serve::ServeModel;

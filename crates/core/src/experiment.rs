@@ -1,5 +1,6 @@
-//! The experiment runner: sweeps configurations × sources × user groups and
-//! aggregates everything the paper's figures and tables report.
+//! The experiment runner: scores one `(configuration, source)` pair on a
+//! user group, plus the CHR and RAN baselines. The sweep over the grid is
+//! `pmr_bench::SweepCache::run`.
 
 use std::time::Duration;
 
@@ -9,8 +10,8 @@ use pmr_sim::usertype::{partition_users, Partition, UserGroup};
 use pmr_sim::UserId;
 
 use crate::baseline::{chronological_ap, random_ap};
-use crate::config::{ConfigGrid, ModelConfiguration, ModelFamily};
-use crate::eval::{mean_average_precision, MapSummary};
+use crate::config::{ModelConfiguration, ModelFamily};
+use crate::eval::mean_average_precision;
 use crate::prepare::PreparedCorpus;
 use crate::recommender::{score_configuration, ScoreOutcome, ScoringOptions};
 use crate::source::RepresentationSource;
@@ -60,54 +61,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The measurements of `(family, source, group)`.
-    pub fn select(
-        &self,
-        family: ModelFamily,
-        source: RepresentationSource,
-        group: UserGroup,
-    ) -> Vec<&ConfigResult> {
-        self.results
-            .iter()
-            .filter(|r| r.family == family && r.source == source && r.group == group)
-            .collect()
-    }
-
-    /// Min/mean/max MAP of a family on a source over its configurations —
-    /// one bar triple of Figures 3–6.
-    pub fn map_summary(
-        &self,
-        family: ModelFamily,
-        source: RepresentationSource,
-        group: UserGroup,
-    ) -> MapSummary {
-        let maps: Vec<f64> = self.select(family, source, group).iter().map(|r| r.map).collect();
-        MapSummary::from_maps(&maps)
-    }
-
-    /// Min/mean/max MAP of a *source* over every configuration of every
-    /// family — one cell triple of Table 6.
-    pub fn source_summary(&self, source: RepresentationSource, group: UserGroup) -> MapSummary {
-        let maps: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.source == source && r.group == group)
-            .map(|r| r.map)
-            .collect();
-        MapSummary::from_maps(&maps)
-    }
-
-    /// The best configuration of a family on a source (averaged across the
-    /// requested group) — one cell of Table 7.
-    pub fn best_config(
-        &self,
-        family: ModelFamily,
-        source: RepresentationSource,
-        group: UserGroup,
-    ) -> Option<&ConfigResult> {
-        self.select(family, source, group).into_iter().max_by(|a, b| a.map.total_cmp(&b.map))
-    }
-
     /// TTime statistics of a family across all its measurements (Fig. 7i).
     pub fn train_time_stats(&self, family: ModelFamily) -> TimeStats {
         let ds: Vec<Duration> =
@@ -120,11 +73,6 @@ impl SweepResult {
         let ds: Vec<Duration> =
             self.results.iter().filter(|r| r.family == family).map(|r| r.test_time).collect();
         TimeStats::from_durations(&ds)
-    }
-
-    /// Merge another sweep's measurements into this one.
-    pub fn merge(&mut self, other: SweepResult) {
-        self.results.extend(other.results);
     }
 }
 
@@ -140,16 +88,6 @@ impl<'a> ExperimentRunner<'a> {
     pub fn new(prepared: &'a PreparedCorpus) -> Self {
         let partition = partition_users(&prepared.corpus);
         ExperimentRunner { prepared, partition }
-    }
-
-    /// The measured user partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The prepared corpus.
-    pub fn prepared(&self) -> &PreparedCorpus {
-        self.prepared
     }
 
     /// The members of a group that have a valid train/test split.
@@ -203,50 +141,6 @@ impl<'a> ExperimentRunner<'a> {
             train_time: outcome.train_time,
             test_time: outcome.test_time,
         }
-    }
-
-    /// Sweep a grid over sources for one group, fanning the runs across the
-    /// machine's available parallelism. Equivalent to
-    /// [`sweep_jobs`](Self::sweep_jobs) with the default worker count.
-    pub fn sweep(
-        &self,
-        grid: &ConfigGrid,
-        sources: &[RepresentationSource],
-        group: UserGroup,
-        opts: &RunnerOptions,
-    ) -> SweepResult {
-        self.sweep_jobs(grid, sources, group, opts, crate::executor::default_jobs())
-    }
-
-    /// Sweep a grid over sources for one group on a pool of `jobs` worker
-    /// threads. Results are returned in canonical (source, config-index)
-    /// order — the same order the sequential nested loop would produce — so
-    /// the `SweepResult` is identical regardless of `jobs` or scheduling
-    /// (up to the wall-clock `train_time`/`test_time` fields).
-    pub fn sweep_jobs(
-        &self,
-        grid: &ConfigGrid,
-        sources: &[RepresentationSource],
-        group: UserGroup,
-        opts: &RunnerOptions,
-        jobs: usize,
-    ) -> SweepResult {
-        let tasks: Vec<(RepresentationSource, &ModelConfiguration)> = sources
-            .iter()
-            .flat_map(|&source| {
-                grid.valid_for(source).into_iter().map(move |config| (source, config))
-            })
-            .collect();
-        let _span = pmr_obs::span("sweep");
-        pmr_obs::counter_add("sweep.runs", tasks.len() as u64);
-        // Build every shared gram table up front so the first worker of
-        // each (kind, n) does not pay the build while its peers wait.
-        self.prepared.prewarm_features(tasks.iter().map(|&(_, config)| config));
-        let _inner = crate::executor::inner_threads_for_jobs(jobs);
-        let results = crate::executor::run_tasks(tasks, jobs, |_, (source, config)| {
-            self.run(config, source, group, opts)
-        });
-        SweepResult { results }
     }
 
     /// The chronological baseline's MAP for a group.
@@ -367,42 +261,5 @@ mod tests {
         // decisions content-wise, so recency carries no signal either.
         assert!((0.0..=1.0).contains(&chr));
         assert!(chr < ran + 0.15, "CHR should not dominate RAN: {chr} vs {ran}");
-    }
-
-    #[test]
-    fn sweep_covers_grid_times_sources() {
-        let p = prepared();
-        let runner = ExperimentRunner::new(&p);
-        let opts = quick_opts();
-        // A miniature grid: both graph families, one config each.
-        let mut grid = ConfigGrid::default();
-        grid_push(
-            &mut grid,
-            ModelConfiguration::Graph {
-                char_grams: false,
-                n: 2,
-                similarity: GraphSimilarity::Value,
-            },
-        );
-        grid_push(&mut grid, tn_config());
-        let sources = [RepresentationSource::R, RepresentationSource::T];
-        let sweep = runner.sweep(&grid, &sources, UserGroup::IP, &opts);
-        assert_eq!(sweep.results.len(), 4);
-        let summary = sweep.map_summary(ModelFamily::TNG, RepresentationSource::R, UserGroup::IP);
-        assert!(summary.max >= summary.min);
-        assert!(sweep
-            .best_config(ModelFamily::TN, RepresentationSource::R, UserGroup::IP)
-            .is_some());
-        assert!(sweep.train_time_stats(ModelFamily::TN).max > Duration::ZERO);
-    }
-
-    /// Test-only helper to assemble ad-hoc grids.
-    fn grid_push(grid: &mut ConfigGrid, config: ModelConfiguration) {
-        // ConfigGrid is intentionally append-only through its constructors;
-        // tests use a serde round-trip-free backdoor via merge on sweeps
-        // instead. For grid assembly we just rebuild from parts.
-        let mut configs: Vec<ModelConfiguration> = grid.configs().to_vec();
-        configs.push(config);
-        *grid = ConfigGrid::from_configs(configs);
     }
 }

@@ -24,7 +24,7 @@
 //!   produce — so a consumer (pmr-serve's ingest adapter) can pipeline
 //!   chunk rendering across workers and still ingest a deterministic
 //!   stream.
-//! * **Power-law graphs.** [`GraphShape::PowerLaw`] draws followees from a
+//! * **Power-law graphs.** [`GraphShape`] draws followees from a
 //!   Zipf-like attractiveness distribution over a seeded rank permutation,
 //!   yielding a handful of celebrity accounts holding a large share of all
 //!   follower edges — the shape that stresses pmr-serve's hot-shard
@@ -85,22 +85,17 @@ fn rng_for(master: u64, stream: u64, item: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed(master, stream, item))
 }
 
-/// How follow edges are shaped at scale.
+/// How follow edges are shaped at scale: Zipf-like follower counts.
+/// Followees are drawn with probability proportional to
+/// `(rank + 1)^-exponent` over a seeded random rank permutation of the
+/// population, so celebrity status is independent of user id (and
+/// therefore of shard placement downstream).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GraphShape {
-    /// The legacy homophily/volume builder ([`SocialGraph::build`]).
-    /// Quadratic in the population — small corpora only.
-    Homophily,
-    /// Zipf-like follower counts: followees are drawn with probability
-    /// proportional to `(rank + 1)^-exponent` over a seeded random rank
-    /// permutation of the population, so celebrity status is independent
-    /// of user id (and therefore of shard placement downstream).
-    PowerLaw {
-        /// Attractiveness decay; ~1.0–1.2 gives realistic heavy heads.
-        exponent: f64,
-        /// Per-user followee-count range (uniform).
-        followees: (usize, usize),
-    },
+pub struct GraphShape {
+    /// Attractiveness decay; ~1.0–1.2 gives realistic heavy heads.
+    pub exponent: f64,
+    /// Per-user followee-count range (uniform).
+    pub followees: (usize, usize),
 }
 
 /// Configuration of a scale run: the paper's text/topic/activity knobs
@@ -140,7 +135,7 @@ impl ScaleConfig {
             base,
             users,
             evaluated_users: 60.min(users / 2).max(1),
-            graph: GraphShape::PowerLaw { exponent: 1.05, followees: (4, 12) },
+            graph: GraphShape { exponent: 1.05, followees: (4, 12) },
             chunk_events: 8192,
             discovery_oversample: 4,
         }
@@ -415,65 +410,41 @@ impl StreamGenerator {
 
     fn plan_graph(&mut self) {
         let n = self.cfg.users;
-        match self.cfg.graph {
-            GraphShape::Homophily => {
-                let users = self.users_vec();
-                let graph =
-                    SocialGraph::build(&mut rng_for(self.cfg.base.seed, S_GRAPH, 0), &users);
-                self.import_graph(&graph);
-            }
-            GraphShape::PowerLaw { exponent, followees } => {
-                let seed = self.cfg.base.seed;
-                let mut rank_to_user: Vec<u32> = (0..n as u32).collect();
-                rank_to_user.shuffle(&mut rng_for(seed, S_PERM, 0));
-                let mut cdf = Vec::with_capacity(n);
-                let mut acc = 0.0f64;
-                for r in 0..n {
-                    acc += (r as f64 + 1.0).powf(-exponent);
-                    cdf.push(acc);
-                }
-                let total = acc;
-                self.followee_offsets = Vec::with_capacity(n + 1);
-                self.followee_offsets.push(0);
-                self.followee_targets = Vec::new();
-                self.follower_counts = vec![0u32; n];
-                let (lo, hi) = followees;
-                for u in 0..n {
-                    let mut rng = rng_for(seed, S_GRAPH, u as u64);
-                    let k = rng.gen_range(lo..=hi).min(n - 1);
-                    let mut picked: Vec<UserId> = Vec::with_capacity(k);
-                    // Rejection sampling; the attempt cap only matters for
-                    // degenerate tiny populations.
-                    let mut attempts = 0usize;
-                    while picked.len() < k && attempts < k * 30 + 30 {
-                        attempts += 1;
-                        let x = rng.gen_range(0.0..total);
-                        let r = cdf.partition_point(|&c| c <= x).min(n - 1);
-                        let v = UserId(rank_to_user[r]);
-                        if v.index() == u || picked.contains(&v) {
-                            continue;
-                        }
-                        self.follower_counts[v.index()] += 1;
-                        picked.push(v);
-                    }
-                    self.followee_targets.extend_from_slice(&picked);
-                    self.followee_offsets.push(self.followee_targets.len() as u32);
-                }
-            }
+        let GraphShape { exponent, followees: (lo, hi) } = self.cfg.graph;
+        let seed = self.cfg.base.seed;
+        let mut rank_to_user: Vec<u32> = (0..n as u32).collect();
+        rank_to_user.shuffle(&mut rng_for(seed, S_PERM, 0));
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0f64;
+        for r in 0..n {
+            acc += (r as f64 + 1.0).powf(-exponent);
+            cdf.push(acc);
         }
-    }
-
-    fn import_graph(&mut self, graph: &SocialGraph) {
-        let n = self.cfg.users;
+        let total = acc;
         self.followee_offsets = Vec::with_capacity(n + 1);
         self.followee_offsets.push(0);
         self.followee_targets = Vec::new();
         self.follower_counts = vec![0u32; n];
         for u in 0..n {
-            let id = UserId(u as u32);
-            self.followee_targets.extend_from_slice(graph.followees(id));
+            let mut rng = rng_for(seed, S_GRAPH, u as u64);
+            let k = rng.gen_range(lo..=hi).min(n - 1);
+            let mut picked: Vec<UserId> = Vec::with_capacity(k);
+            // Rejection sampling; the attempt cap only matters for
+            // degenerate tiny populations.
+            let mut attempts = 0usize;
+            while picked.len() < k && attempts < k * 30 + 30 {
+                attempts += 1;
+                let x = rng.gen_range(0.0..total);
+                let r = cdf.partition_point(|&c| c <= x).min(n - 1);
+                let v = UserId(rank_to_user[r]);
+                if v.index() == u || picked.contains(&v) {
+                    continue;
+                }
+                self.follower_counts[v.index()] += 1;
+                picked.push(v);
+            }
+            self.followee_targets.extend_from_slice(&picked);
             self.followee_offsets.push(self.followee_targets.len() as u32);
-            self.follower_counts[u] = graph.followers(id).len() as u32;
         }
     }
 
