@@ -2,8 +2,8 @@
 //! cache and indexed scoring kernel: gram extraction (per-call strings vs
 //! cached `TermId` lookups), vectorization (string interning vs id
 //! remapping) and model–document scoring (merge-join reference vs
-//! pre-expanded kernel). `bench_kernel` (a bin) runs the same comparisons
-//! and writes `results/BENCH_kernel.json`.
+//! pre-expanded kernel). `results/BENCH_kernel.json` is a dated record
+//! of these comparisons; this bench re-measures every one of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

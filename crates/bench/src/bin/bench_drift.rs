@@ -22,17 +22,18 @@
 //! pair up query by query — the same `(query, user, now)` and the same
 //! candidate set — and the harness exits non-zero if they do not. Drift =
 //! online MAP − oracle MAP is then the cost of history decay alone (the
-//! graph family has no decay, so its drift is exactly 0). Each family also
-//! reports a paired randomization p-value and a 95% half-width over the
-//! per-query AP differences.
+//! graph family has no decay, so its drift is exactly 0). Each family's
+//! row of the record's `families` table also carries a two-sided paired
+//! randomization p-value of drift against 0, a 95% half-width (1.96·s/√n,
+//! null below two scored queries) over the per-query AP differences, and
+//! `replay_s`, the wall time of both replays. Only queries with a relevant
+//! candidate are scored: a zero-relevance query would add identical zeros
+//! to both MAPs.
 
 use std::collections::BTreeMap;
-use std::process::exit;
 use std::time::Instant;
 
-use serde::Serialize;
-
-use pmr_bench::{parse_args, serve_model, write_json, FlagError, Flags, Scale};
+use pmr_bench::{fields, parse_args, serve_model, BenchRecord, Fields, FlagError, Flags, Scale};
 use pmr_core::eval::{average_precision, tie_break_key, ScoredDoc};
 use pmr_core::{paired_randomization_test, PreparedCorpus, SplitConfig};
 use pmr_serve::{
@@ -46,40 +47,6 @@ const FAMILIES: [&str; 3] = ["bag", "graph", "topic"];
 /// p-value is a pure function of the AP pairs.
 const PERMUTATIONS: usize = 10_000;
 const PERMUTATION_SEED: u64 = 42;
-
-#[derive(Debug, Serialize)]
-struct FamilyDrift {
-    model: String,
-    queries: u64,
-    /// Queries with at least one relevant candidate in the logged window;
-    /// only these contribute to either MAP (zero-relevance queries would
-    /// add identical zeros to both sides).
-    scored_queries: u64,
-    online_map: f64,
-    oracle_map: f64,
-    /// `online_map − oracle_map`: negative when history decay costs the
-    /// preset ranking quality.
-    drift: f64,
-    /// 1.96·s/√n over the per-query AP differences (null below two scored
-    /// queries).
-    ci95_half_width: Option<f64>,
-    /// Two-sided paired randomization test of `drift` against 0.
-    p_value: f64,
-    /// Wall-clock seconds of both replays.
-    replay_s: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct DriftBaseline {
-    benchmark: &'static str,
-    scale: String,
-    seed: u64,
-    window: usize,
-    query_every: usize,
-    /// Topic background refresh cadence (0 = epoch-0 background throughout).
-    refresh: u64,
-    families: Vec<FamilyDrift>,
-}
 
 const USAGE: &str = "usage: bench_drift [--scale smoke|default|full] [--seed N] [--window N] \
      [--query-every N] [--refresh N] [--jobs N] [--out PATH]";
@@ -130,15 +97,16 @@ impl DriftSetup<'_> {
         })
     }
 
-    /// Score the online and oracle logs of family `name` over the same
-    /// relevance labels. Errors if the logs do not pair up query by query.
+    /// The row of family `name`: its online and oracle logs scored over
+    /// the same relevance labels. Errors if the logs do not pair up query
+    /// by query.
     fn compare(
         &self,
         name: &str,
         online: &ReplayOutcome,
         oracle: &ReplayOutcome,
         replay_s: f64,
-    ) -> Result<FamilyDrift, String> {
+    ) -> Result<Fields, String> {
         let (recs, oracle_recs) = (&online.recommendations, &oracle.recommendations);
         if recs.len() != oracle_recs.len() {
             return Err(format!(
@@ -178,16 +146,10 @@ impl DriftSetup<'_> {
         });
         let test =
             paired_randomization_test(&online_ap, &oracle_ap, PERMUTATIONS, PERMUTATION_SEED);
-        Ok(FamilyDrift {
-            model: name.to_owned(),
-            queries: online.queries,
-            scored_queries: n as u64,
-            online_map,
-            oracle_map,
-            drift: online_map - oracle_map,
-            ci95_half_width,
-            p_value: test.p_value,
-            replay_s,
+        Ok(fields! {
+            "model": name, "queries": online.queries, "scored_queries": n,
+            "online_map": online_map, "oracle_map": oracle_map, "drift": online_map - oracle_map,
+            "ci95_half_width": ci95_half_width, "p_value": test.p_value, "replay_s": replay_s,
         })
     }
 }
@@ -254,40 +216,31 @@ fn main() {
         query_every,
         jobs,
     };
+    let params = fields! {
+        "window": window, "query_every": query_every, "refresh": refresh, "jobs": jobs,
+        "permutations": PERMUTATIONS,
+    };
+    let what = "online-vs-oracle MAP per serving family: each preset against itself at decay 1.0";
+    let mut record = BenchRecord::new("bench_drift", what, scale.name(), seed, params);
     let mut families = Vec::new();
     for name in FAMILIES {
         let model = serve_model(name, seed, refresh).expect("every family has a preset");
         let replay_start = Instant::now();
         let [online, oracle] = setup.replays(model);
         let replay_s = replay_start.elapsed().as_secs_f64();
-        let drift = setup.compare(name, &online, &oracle, replay_s).unwrap_or_else(|problem| {
-            eprintln!("bench_drift: {name}: the online and oracle logs do not pair up: {problem}");
-            exit(1)
-        });
-        eprintln!(
-            "  {name}: {} queries ({} scored), online MAP {:.3}, oracle MAP {:.3}, \
-             drift {:+.3} ± {:.3} (p {:.3}, {replay_s:.2}s replay)",
-            drift.queries,
-            drift.scored_queries,
-            drift.online_map,
-            drift.oracle_map,
-            drift.drift,
-            drift.ci95_half_width.unwrap_or(f64::NAN),
-            drift.p_value
+        let row = setup.compare(name, &online, &oracle, replay_s);
+        match &row {
+            Ok(row) => eprintln!("  {}", serde_json::to_value(row)),
+            Err(problem) => eprintln!("bench_drift: {name}: {problem}"),
+        }
+        record.check(
+            format!("{name}: the online and oracle logs pair up query by query"),
+            row.is_ok(),
         );
-        families.push(drift);
+        families.extend(row.ok());
     }
-
-    let baseline = DriftBaseline {
-        benchmark: "drift",
-        scale: scale.name().to_owned(),
-        seed,
-        window,
-        query_every,
-        refresh,
-        families,
-    };
-    write_json(&out, &baseline).expect("baseline file is writable");
+    record.table("families", families);
+    record.finish(&out)
 }
 
 #[cfg(test)]
@@ -297,7 +250,7 @@ mod tests {
 
     /// Replay `model` and its oracle at smoke scale, seed 42, one query
     /// per 25 events: both rec logs and the family's drift row.
-    fn smoke_drift(model: ServeModel) -> ([String; 2], FamilyDrift) {
+    fn smoke_drift(model: ServeModel) -> ([String; 2], Fields) {
         let corpus = generate_corpus(&SimConfig::preset(Scale::Smoke.preset(), 42));
         let prepared =
             PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
@@ -321,8 +274,8 @@ mod tests {
     fn assert_oracle_is_causal(model: ServeModel) {
         let ([online, oracle], drift) = smoke_drift(model);
         assert!(online == oracle, "the online and oracle rec logs differ");
-        assert_eq!(drift.drift, 0.0);
-        assert!(drift.scored_queries > 0, "no query had a relevant candidate");
+        assert_eq!(drift.number("drift"), Some(0.0));
+        assert!(drift.number("scored_queries") > Some(0.0), "no query had a relevant candidate");
     }
 
     #[test]

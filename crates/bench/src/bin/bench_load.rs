@@ -31,107 +31,18 @@
 //! equal the `Replay` reference; timing numbers are machine-specific
 //! diagnostics, excluded from determinism comparisons (see EXPERIMENTS.md).
 
-use std::process::exit;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
-use pmr_bench::{parse_args, write_json, FlagError, Flags, Scale};
+use pmr_bench::{fields, parse_args, BenchRecord, FlagError, Flags, Scale, Stage};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
     corpus_ops, precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay,
     ReplayOptions, RuntimeOptions,
 };
 use pmr_sim::{generate_corpus, SimConfig};
-
-#[derive(Debug, Serialize)]
-struct LatencySummary {
-    count: u64,
-    p50_us: u64,
-    p99_us: u64,
-    p999_us: u64,
-    max_us: u64,
-}
-
-impl LatencySummary {
-    fn from_histogram(h: Option<&pmr_obs::HistogramSnapshot>) -> LatencySummary {
-        match h {
-            Some(h) => LatencySummary {
-                count: h.count,
-                p50_us: h.quantile_us(0.5),
-                p99_us: h.quantile_us(0.99),
-                p999_us: h.quantile_us(0.999),
-                max_us: h.max_us,
-            },
-            None => LatencySummary { count: 0, p50_us: 0, p99_us: 0, p999_us: 0, max_us: 0 },
-        }
-    }
-}
-
-#[derive(Debug, Serialize)]
-struct CapacityLeg {
-    shards: usize,
-    workers: usize,
-    elapsed_s: f64,
-    ops_per_sec: f64,
-    backpressure: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct ScenarioLeg {
-    scenario: &'static str,
-    offered_ops_per_sec: f64,
-    elapsed_s: f64,
-    ingest: LatencySummary,
-    query: LatencySummary,
-    backpressure: u64,
-    /// Per-logical-shard backpressure, log-4 bucketed by shard id
-    /// (`serve.backpressure.shard_b*`); trailing zero buckets trimmed.
-    backpressure_buckets: Vec<u64>,
-    steals: u64,
-    parks: u64,
-    yields: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct ReshardLayout {
-    shards: usize,
-    workers: usize,
-    identical: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct ReshardLeg {
-    snapshot_at_event: usize,
-    source_shards: usize,
-    source_workers: usize,
-    layouts: Vec<ReshardLayout>,
-    identical: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct LoadReport {
-    benchmark: &'static str,
-    scale: String,
-    seed: u64,
-    model: String,
-    shards: usize,
-    workers: usize,
-    queue_capacity: usize,
-    k: usize,
-    query_every: usize,
-    window: usize,
-    stream_events: usize,
-    ops: usize,
-    queries: u64,
-    capacity: CapacityLeg,
-    scenarios: Vec<ScenarioLeg>,
-    /// Every leg's recommendation log byte-equals the `Replay` reference.
-    rec_log_identical: bool,
-    reshard: ReshardLeg,
-}
 
 const USAGE: &str = "usage: bench_load [--scale smoke|default|full] [--seed N] \
      [--model bag|graph] [--shards N] [--workers N] [--queue N] [--k N] [--query-every N] \
@@ -200,6 +111,13 @@ fn main() {
     let Args { scale, seed, model, config, runtime, k, query_every, paced_seconds, burst, out } =
         parse_args(USAGE, parse);
     let RuntimeOptions { shards, workers, queue_capacity, .. } = runtime;
+    let params = fields! {
+        "model": model, "shards": shards, "workers": workers, "queue_capacity": queue_capacity,
+        "k": k, "query_every": query_every, "window": config.window,
+        "paced_seconds": paced_seconds, "burst": burst,
+    };
+    let what = "open-loop sojourn latency under seeded arrivals, capacity, and live resharding";
+    let mut record = BenchRecord::new("bench_load", what, scale.name(), seed, params);
 
     eprintln!("preparing corpus (scale {scale:?}, seed {seed})...");
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
@@ -230,29 +148,25 @@ fn main() {
     // Capacity: all arrivals at t=0. Three repetitions, best kept — a
     // capacity leg finishes in well under a second at smoke scale, so a
     // single run is scheduler-noise-bound.
+    let mut runs = Vec::new();
     let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
     for _ in 0..3 {
         let (elapsed, metrics, recs) = drive(config, runtime, &ops, None);
         check_log("capacity", &recs);
+        runs.push(elapsed);
         if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
             best = Some((elapsed, metrics));
         }
     }
     let (elapsed, metrics) = best.expect("three repetitions ran");
-    let capacity = CapacityLeg {
-        shards,
-        workers,
-        elapsed_s: elapsed.as_secs_f64(),
-        ops_per_sec: ops.len() as f64 / elapsed.as_secs_f64(),
-        backpressure: metrics.counter("serve.backpressure"),
+    record.stages.push(Stage::timed("capacity", &runs));
+    record.headline = fields! {
+        "stream_events": prepared.corpus.len(), "ops": ops.len(), "queries": reference.queries,
+        "capacity_elapsed_s": elapsed.as_secs_f64(),
+        "capacity_ops_per_sec": ops.len() as f64 / elapsed.as_secs_f64(),
+        "capacity_backpressure": metrics.counter("serve.backpressure"),
     };
-    eprintln!(
-        "capacity: {} ops in {:.2}s ({:.0} ops/s, backpressure {})",
-        ops.len(),
-        capacity.elapsed_s,
-        capacity.ops_per_sec,
-        capacity.backpressure
-    );
+    eprintln!("capacity: {}", serde_json::to_value(&record.headline));
 
     // Paced scenarios.
     let rate = ops.len() as f64 / paced_seconds.max(0.1);
@@ -261,66 +175,30 @@ fn main() {
         let schedule = build_schedule(scenario, ops.len(), rate, burst, seed);
         let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule));
         check_log(scenario, &recs);
-        let buckets = backpressure_buckets(&metrics);
-        let leg = ScenarioLeg {
-            scenario: match scenario {
-                "poisson" => "poisson",
-                "storm" => "storm",
-                _ => "herd",
-            },
-            offered_ops_per_sec: rate,
-            elapsed_s: elapsed.as_secs_f64(),
-            ingest: LatencySummary::from_histogram(metrics.histogram("load.ingest")),
-            query: LatencySummary::from_histogram(metrics.histogram("load.query")),
-            backpressure: metrics.counter("serve.backpressure"),
-            backpressure_buckets: buckets,
-            steals: metrics.counter("serve.runtime.steals"),
-            parks: metrics.counter("serve.runtime.parks"),
-            yields: metrics.counter("serve.runtime.yields"),
+        record.stages.push(Stage::timed(scenario, &[elapsed]));
+        let mut row = fields! {
+            "scenario": scenario, "offered_ops_per_sec": rate,
+            "backpressure": metrics.counter("serve.backpressure"),
+            "backpressure_buckets": backpressure_buckets(&metrics),
+            "steals": metrics.counter("serve.runtime.steals"),
+            "parks": metrics.counter("serve.runtime.parks"),
+            "yields": metrics.counter("serve.runtime.yields"),
         };
-        eprintln!(
-            "{scenario}: offered {:.0} ops/s, ingest p99 {}us p999 {}us, \
-             query p99 {}us p999 {}us, backpressure {}",
-            leg.offered_ops_per_sec,
-            leg.ingest.p99_us,
-            leg.ingest.p999_us,
-            leg.query.p99_us,
-            leg.query.p999_us,
-            leg.backpressure,
-        );
-        scenarios.push(leg);
+        row.push_latency("ingest", metrics.histogram("load.ingest"));
+        row.push_latency("query", metrics.histogram("load.query"));
+        eprintln!("{scenario}: {}", serde_json::to_value(&row));
+        scenarios.push(row);
     }
+    record.table("scenarios", scenarios);
+    record.check(
+        "every capacity and scenario leg's rec log equals the replay reference",
+        rec_log_identical,
+    );
 
     // Live reshard: snapshot mid-storm under the source layout, restore
     // shrunken and grown, byte-diff the stitched logs.
-    let reshard = reshard_leg(&prepared, replay_options, &reference_log);
-    if !reshard.identical {
-        eprintln!("DIVERGENT rec log after live reshard");
-    }
-
-    let report = LoadReport {
-        benchmark: "load",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        model,
-        shards,
-        workers,
-        queue_capacity,
-        k,
-        query_every,
-        window: config.window,
-        stream_events: prepared.corpus.len(),
-        ops: ops.len(),
-        queries: reference.queries,
-        capacity,
-        scenarios,
-        rec_log_identical,
-        reshard,
-    };
-    write_json(&out, &report).expect("report file is writable");
-    if !report.rec_log_identical || !report.reshard.identical {
-        exit(1);
-    }
+    reshard_leg(&prepared, replay_options, &reference_log, &mut record);
+    record.finish(&out)
 }
 
 /// Deterministic, seeded arrival offsets for every operation. Offsets are
@@ -456,12 +334,13 @@ fn backpressure_buckets(metrics: &pmr_obs::MetricsSnapshot) -> Vec<u64> {
 /// The live-reshard leg: run the source layout to just past the widest
 /// celebrity fan-out (mid-storm), snapshot through the JSONL wire format,
 /// and restore under shrunken and grown layouts. The stitched head+tail
-/// rec log must byte-equal the reference.
+/// rec log must byte-equal the reference: one row and check per layout.
 fn reshard_leg(
     prepared: &PreparedCorpus,
     options: ReplayOptions,
     reference_log: &str,
-) -> ReshardLeg {
+    record: &mut BenchRecord,
+) {
     let stream = prepared.corpus.event_stream();
     let mut pause = 0;
     let mut widest = 0;
@@ -493,21 +372,20 @@ fn reshard_leg(
         let stitched: Vec<_> =
             head.recommendations.iter().chain(tail.recommendations.iter()).cloned().collect();
         let identical = rec_log(&stitched).expect("log serializes") == reference_log;
-        eprintln!(
-            "reshard {} -> {shards} shards x {workers} workers: {}",
-            source.shards,
-            if identical { "byte-identical" } else { "DIVERGENT" }
+        record.check(
+            format!(
+                "live reshard {}x{} -> {shards}x{workers} at event {pause} continues the \
+                 reference log",
+                source.shards, source.workers
+            ),
+            identical,
         );
-        layouts.push(ReshardLayout { shards, workers, identical });
+        layouts.push(fields! {
+            "snapshot_at_event": pause, "shards": shards, "workers": workers,
+            "identical": identical,
+        });
     }
-    let identical = layouts.iter().all(|l| l.identical);
-    ReshardLeg {
-        snapshot_at_event: pause,
-        source_shards: source.shards,
-        source_workers: source.workers,
-        layouts,
-        identical,
-    }
+    record.table("reshard", layouts);
 }
 
 #[cfg(test)]
@@ -532,7 +410,7 @@ mod tests {
         let runtime = RuntimeOptions { shards: 4, workers: 1, ..RuntimeOptions::default() };
         let (_, metrics, recs) = drive(config, runtime, ops, Some(&schedule));
         assert_eq!(recs.len(), 1, "the query is answered");
-        let sojourn = LatencySummary::from_histogram(metrics.histogram("load.query"));
+        let sojourn = metrics.histogram("load.query").expect("the query's sojourn is observed");
         assert_eq!(sojourn.count, 1);
         assert!(
             sojourn.max_us < 500_000,

@@ -10,66 +10,17 @@
 //!
 //! Peak RSS (`VmHWM`) is a per-process high-water mark, so every
 //! `(tier, mode)` measurement runs in its own child process (re-invoking
-//! this binary with `--probe`); the parent only aggregates JSON lines.
+//! this binary with `--probe`), which prints its row of the record's
+//! `probes` table as one JSON line; the parent only aggregates them.
 //! Numbers here are machine-specific and **excluded** from paper-figure
 //! comparisons — see EXPERIMENTS.md.
 
 use std::process::{exit, Command};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
-use pmr_bench::{parse_args, write_json, FlagError, Flags};
+use pmr_bench::{fields, parse_args, BenchRecord, Fields, FlagError, Flags};
 use pmr_serve::{ingest_stream, rec_log, EngineConfig, ReplayOptions, RuntimeOptions, ServeModel};
 use pmr_sim::{ScaleConfig, StreamGenerator};
-
-/// One `(tier, mode)` measurement, produced by a probe child process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Probe {
-    users: u64,
-    mode: String,
-    events: u64,
-    wall_s: f64,
-    events_per_sec: f64,
-    /// 0 when the platform exposes no RSS accounting.
-    peak_rss_bytes: u64,
-    /// FNV-1a over every event's fields and text — streaming and
-    /// materialized probes of the same tier must agree.
-    stream_hash: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct TierReport {
-    users: u64,
-    events: u64,
-    streaming: Probe,
-    /// Absent above the materialization cap — the whole point of the
-    /// streaming path is that these tiers cannot be materialized.
-    materialized: Option<Probe>,
-}
-
-#[derive(Debug, Serialize)]
-struct ServeReport {
-    users: u64,
-    events: u64,
-    queries: u64,
-    shard_layouts: Vec<usize>,
-    queue_capacity: usize,
-    /// `serve.backpressure` per layout.
-    backpressure: Vec<u64>,
-    rec_log_identical: bool,
-    ingest_s: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct ScaleBaseline {
-    benchmark: &'static str,
-    seed: u64,
-    chunk_events: usize,
-    graph: String,
-    tiers: Vec<TierReport>,
-    serve: ServeReport,
-}
 
 const USAGE: &str = "usage: bench_scale [--tiers N,N,...] [--seed N] [--materialize-cap N] \
      [--serve-tier N] [--out PATH]";
@@ -142,7 +93,9 @@ fn fold_event(
     fnv(hash, text.as_bytes());
 }
 
-/// Probe child: generate one tier in one mode, print a [`Probe`] JSON line.
+/// Probe child: generate one tier in one mode, print its `probes` row.
+/// The stream hash is FNV-1a over every event's fields and text, so the
+/// streaming and materialized probes of a tier must agree.
 fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
     let start = Instant::now();
     let gen = StreamGenerator::plan(ScaleConfig::tier(users, seed));
@@ -172,21 +125,19 @@ fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
         count
     };
     let wall_s = start.elapsed().as_secs_f64();
-    let probe = Probe {
-        users: users as u64,
-        mode: if materialized { "materialized" } else { "streaming" }.to_owned(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_bytes: pmr_obs::peak_rss_bytes().unwrap_or(0),
-        stream_hash: hash,
+    let probe = fields! {
+        "users": users, "mode": if materialized { "materialized" } else { "streaming" },
+        "events": events, "wall_s": wall_s, "events_per_sec": events as f64 / wall_s.max(1e-9),
+        // 0 when the platform exposes no RSS accounting.
+        "peak_rss_bytes": pmr_obs::peak_rss_bytes().unwrap_or(0),
+        "stream_hash": hash,
     };
-    println!("{}", serde_json::to_string(&probe).expect("probe serializes"));
+    println!("{}", serde_json::to_value(&probe));
     exit(0);
 }
 
-/// Spawn this binary as a probe child and parse its JSON line.
-fn spawn_probe(users: u64, seed: u64, mode: &str) -> Probe {
+/// Spawn this binary as a probe child and parse its row.
+fn spawn_probe(users: u64, seed: u64, mode: &str) -> Fields {
     let exe = std::env::current_exe().expect("own executable path is known");
     let output = Command::new(exe)
         .args(["--probe", mode, "--users", &users.to_string(), "--seed", &seed.to_string()])
@@ -205,8 +156,9 @@ fn spawn_probe(users: u64, seed: u64, mode: &str) -> Probe {
 }
 
 /// The serving leg: the same power-law stream through two shard layouts
-/// with a deliberately tiny queue, in-process (RSS is not the point here).
-fn run_serve_leg(users: u64, seed: u64) -> ServeReport {
+/// with a deliberately tiny queue, in-process (RSS is not the point
+/// here). One `serve` row per layout; their rec logs must be identical.
+fn run_serve_leg(users: u64, seed: u64, record: &mut BenchRecord) {
     let gen = StreamGenerator::plan(ScaleConfig::tier(users as usize, seed));
     let config = EngineConfig {
         model: ServeModel::Graph {
@@ -216,15 +168,12 @@ fn run_serve_leg(users: u64, seed: u64) -> ServeReport {
         },
         window: 128,
     };
-    let layouts = vec![1usize, 4];
     let queue_capacity = 8;
-    let start = Instant::now();
     let mut logs = Vec::new();
-    let mut backpressure = Vec::new();
-    let mut events = 0u64;
-    let mut queries = 0u64;
-    for &shards in &layouts {
+    let mut rows = Vec::new();
+    for shards in [1usize, 4] {
         pmr_obs::install(pmr_obs::Recorder::monotonic());
+        let start = Instant::now();
         let outcome = ingest_stream(
             &gen,
             ReplayOptions {
@@ -237,23 +186,20 @@ fn run_serve_leg(users: u64, seed: u64) -> ServeReport {
         )
         .expect("graph-model ingest succeeds");
         let metrics = pmr_obs::snapshot().expect("recorder is installed");
-        backpressure.push(metrics.counter("serve.backpressure"));
         let _ = pmr_obs::uninstall();
-        events = outcome.events;
-        queries = outcome.queries;
+        rows.push(fields! {
+            "shards": shards, "queue_capacity": queue_capacity, "events": outcome.events,
+            "queries": outcome.queries, "backpressure": metrics.counter("serve.backpressure"),
+            "ingest_s": start.elapsed().as_secs_f64(),
+        });
         logs.push(rec_log(&outcome.recommendations).expect("recommendation log serializes"));
     }
-    let rec_log_identical = logs.windows(2).all(|w| w[0] == w[1]);
-    ServeReport {
-        users,
-        events,
-        queries,
-        shard_layouts: layouts,
-        queue_capacity,
-        backpressure,
-        rec_log_identical,
-        ingest_s: start.elapsed().as_secs_f64(),
+    for row in &rows {
+        eprintln!("serve leg: {}", serde_json::to_value(row));
     }
+    let identical = logs.windows(2).all(|w| w[0] == w[1]);
+    record.check("serve leg: the rec logs are identical across shard layouts", identical);
+    record.table("serve", rows);
 }
 
 fn main() {
@@ -263,49 +209,39 @@ fn main() {
             (tiers, seed, materialize_cap, serve_tier, out)
         }
     };
+    let tier_list: Vec<String> = tiers.iter().map(u64::to_string).collect();
+    let params = fields! {
+        "materialize_cap": materialize_cap, "serve_tier": serve_tier,
+        "chunk_events": ScaleConfig::tier(1_000, seed).chunk_events, "graph": "power-law",
+    };
+    let what = "streaming vs. materialized generation per population tier, and a serving leg";
+    let mut record = BenchRecord::new("bench_scale", what, &tier_list.join(","), seed, params);
 
-    let mut reports = Vec::new();
+    let mut probes = Vec::new();
     for &users in &tiers {
         eprintln!("tier {users}: streaming probe…");
         let streaming = spawn_probe(users, seed, "streaming");
-        let materialized = if users <= materialize_cap {
+        eprintln!("tier {users}: {}", serde_json::to_value(&streaming));
+        if users <= materialize_cap {
             eprintln!("tier {users}: materialized probe…");
-            let m = spawn_probe(users, seed, "materialized");
-            assert_eq!(
-                m.stream_hash, streaming.stream_hash,
-                "streaming and materialized probes disagree at {users} users"
+            let materialized = spawn_probe(users, seed, "materialized");
+            let agree = ["stream_hash", "events"]
+                .iter()
+                .all(|name| materialized.get(name) == streaming.get(name));
+            record.check(
+                format!("tier {users}: the streaming and materialized streams agree"),
+                agree,
             );
-            assert_eq!(m.events, streaming.events);
-            Some(m)
+            probes.extend([streaming, materialized]);
         } else {
-            None
-        };
-        eprintln!(
-            "tier {users}: {} events, {:.0} events/s streaming, peak RSS {:.1} MiB",
-            streaming.events,
-            streaming.events_per_sec,
-            streaming.peak_rss_bytes as f64 / (1024.0 * 1024.0)
-        );
-        reports.push(TierReport { users, events: streaming.events, streaming, materialized });
+            probes.push(streaming);
+        }
     }
+    record.table("probes", probes);
 
     eprintln!("serve leg at {serve_tier} users…");
-    let serve = run_serve_leg(serve_tier, seed);
-    assert!(serve.rec_log_identical, "shard layouts produced different recommendation logs");
-    eprintln!(
-        "serve leg: {} events, {} queries, backpressure {:?}, logs identical",
-        serve.events, serve.queries, serve.backpressure
-    );
-
-    let reference = ScaleBaseline {
-        benchmark: "scale",
-        seed,
-        chunk_events: ScaleConfig::tier(1_000, seed).chunk_events,
-        graph: "power-law".to_owned(),
-        tiers: reports,
-        serve,
-    };
-    write_json(&out, &reference).expect("baseline file is writable");
+    run_serve_leg(serve_tier, seed, &mut record);
+    record.finish(&out)
 }
 
 #[cfg(test)]

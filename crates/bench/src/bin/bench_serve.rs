@@ -9,59 +9,18 @@
 //!
 //! The recommendation log (`--rec-log`) carries no timing fields: it is
 //! the determinism artifact the `serve-smoke` CI job byte-diffs across
-//! shard and thread counts. All timing lives in `BENCH_serve.json`, which
-//! is machine-specific and *excluded* from any determinism comparison.
+//! shard and thread counts. All timing lives in the `BENCH_serve.json`
+//! record, which is machine-specific and *excluded* from any determinism
+//! comparison. Its headline carries the engine's counters (fold-in sweeps
+//! and background retrains are layout-dependent through the per-shard θ
+//! memo) and the in-shard query latency (`serve.query`).
 
 use std::time::Instant;
 
-use serde::Serialize;
-
-use pmr_bench::{parse_args, write_json, FlagError, Flags, Scale};
+use pmr_bench::{fields, parse_args, BenchRecord, FlagError, Flags, Scale, Stage};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{rec_log, EngineConfig, Replay, ReplayOptions, RuntimeOptions};
 use pmr_sim::{generate_corpus, SimConfig};
-
-#[derive(Debug, Serialize)]
-struct LatencySummary {
-    count: u64,
-    mean_us: u64,
-    p50_us: u64,
-    p90_us: u64,
-    p99_us: u64,
-    p999_us: u64,
-    max_us: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct ServeBaseline {
-    benchmark: &'static str,
-    scale: String,
-    seed: u64,
-    model: String,
-    shards: usize,
-    workers: usize,
-    jobs: usize,
-    k: usize,
-    query_every: usize,
-    window: usize,
-    queue_capacity: usize,
-    events: u64,
-    queries: u64,
-    candidates: u64,
-    observes: u64,
-    backpressure: u64,
-    window_evictions: u64,
-    /// Fold-in Gibbs sweeps run across all shards (0 for the gram
-    /// families). Layout-dependent via the per-shard θ memo, which is fine
-    /// here: this file is excluded from determinism comparisons.
-    topic_foldin_iters: u64,
-    /// Background-model (re)trains, including the epoch-0 bootstrap.
-    topic_background_refreshes: u64,
-    prep_s: f64,
-    replay_s: f64,
-    events_per_sec: f64,
-    query_latency: LatencySummary,
-}
 
 const USAGE: &str = "usage: bench_serve [--scale smoke|default|full] [--seed N] \
      [--model bag|graph|topic] [--shards N] [--workers N] [--jobs N] [--k N] [--query-every N] \
@@ -75,6 +34,7 @@ struct Args {
     model: String,
     options: ReplayOptions,
     out: String,
+    refresh: u64,
     rec_log: Option<String>,
 }
 
@@ -99,7 +59,8 @@ fn parse(args: Vec<String>) -> Result<Args, FlagError> {
     )?;
     let seed = f.number("--seed", 42)?;
     let model = f.text("--model", "bag");
-    let serve_model = pmr_bench::serve_model(&model, seed, f.number("--refresh", 0)?)
+    let refresh = f.number("--refresh", 0)?;
+    let serve_model = pmr_bench::serve_model(&model, seed, refresh)
         .ok_or_else(|| FlagError(format!("bad --model value {model:?} (want bag|graph|topic)")))?;
     let options = ReplayOptions {
         config: EngineConfig { model: serve_model, window: f.number("--window", 128)? },
@@ -119,12 +80,14 @@ fn parse(args: Vec<String>) -> Result<Args, FlagError> {
         model,
         options,
         out: f.text("--out", "results/BENCH_serve.json"),
+        refresh,
         rec_log: f.optional_text("--rec-log"),
     })
 }
 
 fn main() {
-    let Args { scale, seed, model, options, out, rec_log: rec_log_path } = parse_args(USAGE, parse);
+    let Args { scale, seed, model, options, out, refresh, rec_log: rec_log_path } =
+        parse_args(USAGE, parse);
 
     // The injected-clock recorder feeds the `serve.query` histogram and
     // the engine's counters; without it every observation is a no-op.
@@ -135,50 +98,34 @@ fn main() {
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     let mut replay = Replay::new(&prepared, options);
-    let prep_s = prep_start.elapsed().as_secs_f64();
+    let prep = prep_start.elapsed();
 
     let replay_start = Instant::now();
     replay.run_to_end();
     let outcome = replay.finish();
-    let replay_s = replay_start.elapsed().as_secs_f64();
+    let replay_time = replay_start.elapsed();
 
     let metrics = pmr_obs::snapshot().expect("recorder is installed");
-    let empty =
-        pmr_obs::HistogramSnapshot { count: 0, sum_us: 0, min_us: 0, max_us: 0, buckets: vec![] };
-    let latency = metrics.histogram("serve.query").unwrap_or(&empty);
-    let baseline = ServeBaseline {
-        benchmark: "serve",
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        model,
-        shards: options.runtime.shards,
-        workers: options.runtime.workers,
-        jobs: options.jobs,
-        k: options.k,
-        query_every: options.query_every,
-        window: options.config.window,
-        queue_capacity: options.runtime.queue_capacity,
-        events: outcome.events,
-        queries: outcome.queries,
-        candidates: metrics.counter("serve.candidates"),
-        observes: metrics.counter("serve.observes"),
-        backpressure: metrics.counter("serve.backpressure"),
-        window_evictions: metrics.counter("serve.window_evictions"),
-        topic_foldin_iters: metrics.counter("serve.topic.foldin_iters"),
-        topic_background_refreshes: metrics.counter("serve.topic.background_refresh"),
-        prep_s,
-        replay_s,
-        events_per_sec: outcome.events as f64 / replay_s,
-        query_latency: LatencySummary {
-            count: latency.count,
-            mean_us: latency.mean().as_micros() as u64,
-            p50_us: latency.quantile_us(0.5),
-            p90_us: latency.quantile_us(0.9),
-            p99_us: latency.quantile_us(0.99),
-            p999_us: latency.quantile_us(0.999),
-            max_us: latency.max_us,
-        },
+    let params = fields! {
+        "model": model, "refresh": refresh, "shards": options.runtime.shards,
+        "workers": options.runtime.workers, "jobs": options.jobs, "k": options.k,
+        "query_every": options.query_every, "window": options.config.window,
+        "queue_capacity": options.runtime.queue_capacity,
     };
+    let what = "closed-loop replay through pmr-serve: throughput and in-shard query latency";
+    let mut record = BenchRecord::new("bench_serve", what, scale.name(), seed, params);
+    record.stages = vec![Stage::timed("prepare", &[prep]), Stage::timed("replay", &[replay_time])];
+    let events_per_sec = outcome.events as f64 / replay_time.as_secs_f64();
+    record.headline = fields! {
+        "events": outcome.events, "queries": outcome.queries, "events_per_sec": events_per_sec,
+        "candidates": metrics.counter("serve.candidates"),
+        "observes": metrics.counter("serve.observes"),
+        "backpressure": metrics.counter("serve.backpressure"),
+        "window_evictions": metrics.counter("serve.window_evictions"),
+        "topic_foldin_iters": metrics.counter("serve.topic.foldin_iters"),
+        "topic_background_refreshes": metrics.counter("serve.topic.background_refresh"),
+    };
+    record.headline.push_latency("query", metrics.histogram("serve.query"));
 
     if let Some(path) = rec_log_path {
         let log = rec_log(&outcome.recommendations).expect("recommendation log serializes");
@@ -188,17 +135,13 @@ fn main() {
         std::fs::write(&path, log).expect("rec-log file is writable");
         eprintln!("wrote {path} ({} recommendations)", outcome.recommendations.len());
     }
-
-    write_json(&out, &baseline).expect("baseline file is writable");
     eprintln!(
-        "  {} events in {replay_s:.2}s ({:.0} events/s), {} queries, \
-         p50 {}µs p99 {}µs",
-        baseline.events,
-        baseline.events_per_sec,
-        baseline.queries,
-        baseline.query_latency.p50_us,
-        baseline.query_latency.p99_us
+        "  {} events in {:.2}s ({events_per_sec:.0} events/s), {} queries",
+        outcome.events,
+        replay_time.as_secs_f64(),
+        outcome.queries
     );
+    record.finish(&out)
 }
 
 #[cfg(test)]

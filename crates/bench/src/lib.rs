@@ -3,13 +3,17 @@
 //! The experiment harness that regenerates every table and figure of the
 //! EDBT 2019 study from the simulated corpus:
 //!
-//! | Binary | Regenerates |
-//! |--------|-------------|
+//! | Binary | Produces |
+//! |--------|----------|
 //! | `run_sweep` | the full 223-configuration × 13-source sweep (cached as JSON; every other binary reuses it) |
 //! | `write_report` | Tables 2, 3, 6 and 7 and Figures 3–7 as markdown sections, rendered by [`report`] |
 //! | `tables45_config_grid` | Tables 4 & 5 — the configuration grid |
 //! | `significance` | the paper's paired significance statements |
 //! | `ablations` | ablations of the design choices |
+//! | `bench_serve` | serving throughput and query latency (`BENCH_serve.json`) |
+//! | `bench_drift` | online-vs-oracle MAP drift per serving family (`BENCH_drift.json`) |
+//! | `bench_load` | open-loop sojourn latency, capacity and live resharding (`BENCH_load.json`) |
+//! | `bench_scale` | streaming vs. materialized generation per population tier (`BENCH_scale.json`) |
 //!
 //! A sweep measures each `(configuration, source)` pair once over all 60
 //! users and stores per-user APs; group-level MAPs (All/IS/BU/IP) are
@@ -19,18 +23,20 @@
 //! The serving binaries (`bench_serve`, `bench_load`, `bench_drift`) share
 //! one preset per incremental model family: [`serve_model`]. Every binary
 //! but `pmr_benchmark` (kept apart from the code it measures) parses its
-//! flags with [`Flags`], and the benchmarks write their `BENCH_*.json`
-//! with [`write_json`].
+//! flags with [`Flags`]. The four benchmarks write one record shape,
+//! [`BenchRecord`], which [`report::render_record`] renders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod cli;
 pub mod harness;
+pub mod record;
 pub mod report;
 
 pub use cli::{parse_args, write_json, FlagError, Flags};
 pub use harness::{HarnessOptions, Scale, SweepCache};
+pub use record::{BenchRecord, Fields, Stage};
 
 use pmr_serve::ServeModel;
 

@@ -1,9 +1,9 @@
 //! The one report renderer: every table and figure of the paper from a
-//! sweep, plus a section per `BENCH_*.json` found in the output directory —
-//! the markdown behind `write_report` and EXPERIMENTS.md.
+//! sweep, plus a section per benchmark record (`BENCH_*.json`) found in the
+//! output directory — the markdown behind `write_report` and EXPERIMENTS.md.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pmr_core::timing::human;
@@ -12,9 +12,11 @@ use pmr_obs::{HistogramSnapshot, MetricsSnapshot};
 use pmr_sim::stats::{language_distribution, Table2, VolumeStats};
 use pmr_sim::usertype::{partition_users, UserGroup};
 use pmr_sim::{generate_corpus, Corpus, GroupStats};
+use serde::Deserialize;
 use serde_json::{Number, Value};
 
-use crate::{HarnessOptions, SweepCache};
+use crate::record::{BenchRecord, Fields};
+use crate::{fields, HarnessOptions, SweepCache};
 
 /// Each user group's effectiveness figure, in the paper's order.
 const FIGURES: [(UserGroup, &str); 4] = [
@@ -49,16 +51,8 @@ pub fn render(opts: &HarnessOptions, cache: &SweepCache) -> String {
     robustness(&mut md, cache);
     // Diagnostics, each only when its input exists: the --metrics-out
     // summary this invocation wrote, and the BENCH records in out_dir.
-    let sections = [
-        observability_section(opts),
-        serving_section(opts),
-        drift_section(opts),
-        load_section(opts),
-        scale_section(opts),
-    ];
-    for section in sections.into_iter().flatten() {
-        md.push_str(&section);
-    }
+    md.extend(observability_section(opts));
+    md.extend(bench_sections(opts));
     md
 }
 
@@ -228,60 +222,6 @@ fn robustness(md: &mut String, cache: &SweepCache) {
     }
 }
 
-/// An unsigned integer field of a BENCH record.
-fn int(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key) {
-        Some(Value::Number(Number::PosInt(n))) => Some(*n),
-        _ => None,
-    }
-}
-
-/// A numeric field of a BENCH record.
-fn float(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key) {
-        Some(Value::Number(Number::Float(f))) => Some(*f),
-        Some(Value::Number(Number::PosInt(n))) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// A string field of a BENCH record, or `?`.
-fn text<'a>(v: &'a Value, key: &str) -> &'a str {
-    v.get(key).and_then(Value::as_str).unwrap_or("?")
-}
-
-/// Whether a boolean field of a BENCH record is true.
-fn is_true(v: &Value, key: &str) -> bool {
-    matches!(v.get(key), Some(Value::Bool(true)))
-}
-
-/// The elements of an array field of a BENCH record.
-fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    v.get(key).and_then(Value::as_array).unwrap_or(&[])
-}
-
-/// A microsecond count, human-readable, or `—`.
-fn micros(n: Option<u64>) -> String {
-    n.map_or_else(|| "—".to_owned(), |n| human(Duration::from_micros(n)))
-}
-
-/// `byte-identical` or a bold `DIVERGENT`.
-fn identity(identical: bool) -> &'static str {
-    if identical {
-        "byte-identical"
-    } else {
-        "**DIVERGENT**"
-    }
-}
-
-/// The BENCH record `name` in `opts.out_dir`, when present and readable.
-fn bench_record(opts: &HarnessOptions, name: &str) -> Option<(PathBuf, Value)> {
-    let path = opts.out_dir.join(name);
-    let bytes = std::fs::read(&path).ok()?;
-    let v = serde_json::from_slice(&bytes).ok()?;
-    Some((path, v))
-}
-
 /// The "### Observability" section, rendered from the `--metrics-out`
 /// summary when this invocation wrote a readable one.
 fn observability_section(opts: &HarnessOptions) -> Option<String> {
@@ -338,8 +278,8 @@ fn observability_section(opts: &HarnessOptions) -> Option<String> {
                 "| `{name}` | {} | {} | {} | {} |",
                 h.count,
                 human(h.mean()),
-                micros(Some(h.min_us)),
-                micros(Some(h.max_us)),
+                human(Duration::from_micros(h.min_us)),
+                human(Duration::from_micros(h.max_us)),
             );
         }
     }
@@ -402,266 +342,115 @@ fn observability_section(opts: &HarnessOptions) -> Option<String> {
     Some(md)
 }
 
-/// The "### Serving engine" section, rendered from the `BENCH_serve.json`
-/// that `bench_serve --out <out_dir>/BENCH_serve.json` wrote, when present.
-/// Throughput and latency figures are machine-specific diagnostics — the
-/// serving determinism artifact is the `--rec-log`, which CI byte-diffs.
-fn serving_section(opts: &HarnessOptions) -> Option<String> {
-    let (path, v) = bench_record(opts, "BENCH_serve.json")?;
-    let latency = v.get("query_latency")?;
-    let mut md = String::new();
-    let _ = writeln!(md, "\n### Serving engine — `bench_serve` baseline\n");
-    let _ = writeln!(
-        md,
-        "From `{}`: `pmr-serve` replaying scale `{}` seed {} with the `{}` \
-         model, {} logical shard(s) on {} worker thread(s), {} feature \
-         job(s). Machine-specific — excluded from determinism comparisons \
-         (those byte-diff the `--rec-log`).\n",
-        path.display(),
-        text(&v, "scale"),
-        int(&v, "seed").unwrap_or(0),
-        text(&v, "model"),
-        int(&v, "shards").unwrap_or(0),
-        int(&v, "workers").unwrap_or(0),
-        int(&v, "jobs").unwrap_or(0),
-    );
-    header(
-        &mut md,
-        &["Events", "Events/s", "Queries", "p50", "p90", "p99", "p99.9", "Backpressure"],
-    );
-    let _ = writeln!(
-        md,
-        "| {} | {:.0} | {} | {} | {} | {} | {} | {} |",
-        int(&v, "events").unwrap_or(0),
-        float(&v, "events_per_sec").unwrap_or(0.0),
-        int(&v, "queries").unwrap_or(0),
-        micros(int(latency, "p50_us")),
-        micros(int(latency, "p90_us")),
-        micros(int(latency, "p99_us")),
-        micros(int(latency, "p999_us")),
-        int(&v, "backpressure").unwrap_or(0),
-    );
-    let foldin_iters = int(&v, "topic_foldin_iters").unwrap_or(0);
-    let refreshes = int(&v, "topic_background_refreshes").unwrap_or(0);
-    if foldin_iters + refreshes > 0 {
-        let _ = writeln!(
-            md,
-            "\nTopic serving: {foldin_iters} fold-in Gibbs sweep(s) across \
-             shards (`serve.topic.foldin_iters`), {refreshes} background \
-             (re)train(s) (`serve.topic.background_refresh`)."
-        );
-    }
-    Some(md)
-}
-
-/// The "### Online serving quality" section, rendered from the
-/// `BENCH_drift.json` that `bench_drift --out <out_dir>/BENCH_drift.json`
-/// wrote, when present. One row per incremental family (bag, graph,
-/// topic): the replay's online MAP against the oracle's — the same engine
-/// replayed at decay 1.0 — over the *same* candidate sets and relevance
-/// labels, so the drift column isolates what history decay costs.
-fn drift_section(opts: &HarnessOptions) -> Option<String> {
-    let (path, v) = bench_record(opts, "BENCH_drift.json")?;
-    let mut md = String::new();
-    let _ = writeln!(md, "\n### Online serving quality — `bench_drift` online-vs-oracle MAP\n");
-    let _ = writeln!(
-        md,
-        "From `{}`: scale `{}` seed {}, window {}, one query per {} event(s), \
-         topic refresh {}. Each family is replayed twice with k = window, so \
-         every query logs its full candidate pool: once with its serving \
-         preset and once with the same preset at decay 1.0 (the oracle). \
-         Both are the engine itself, so each query sees only the retweets \
-         ingested before it; the two logs must pair up query by query \
-         (same user, time and candidate set). Drift = online − oracle MAP, \
-         the cost of history decay alone, over identical relevance labels \
-         and tie-breaking; zero-relevance queries are excluded from both \
-         sides. ±95% is 1.96·s/√n over the per-query AP differences; p is \
-         a paired randomization test.\n",
-        path.display(),
-        text(&v, "scale"),
-        int(&v, "seed").unwrap_or(0),
-        int(&v, "window").unwrap_or(0),
-        int(&v, "query_every").unwrap_or(0),
-        int(&v, "refresh").unwrap_or(0),
-    );
-    header(
-        &mut md,
-        &["Model", "Queries", "Scored", "Online MAP", "Oracle MAP", "Drift", "±95%", "p"],
-    );
-    for family in items(&v, "families") {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {:.3} | {:.3} | {:+.3} | {} | {:.3} |",
-            text(family, "model"),
-            int(family, "queries").unwrap_or(0),
-            int(family, "scored_queries").unwrap_or(0),
-            float(family, "online_map").unwrap_or(0.0),
-            float(family, "oracle_map").unwrap_or(0.0),
-            float(family, "drift").unwrap_or(0.0),
-            float(family, "ci95_half_width").map_or_else(|| "—".to_owned(), |w| format!("{w:.3}")),
-            float(family, "p_value").unwrap_or(1.0),
-        );
-    }
-    Some(md)
-}
-
-/// The "### Elastic serving" section, rendered from the `BENCH_load.json`
-/// that `bench_load --out <out_dir>/BENCH_load.json` wrote, when present.
-/// Sojourn latencies and throughputs are machine-specific diagnostics; the
-/// correctness artifacts are the rec-log identity and live-reshard
-/// identity flags, both reported here.
-fn load_section(opts: &HarnessOptions) -> Option<String> {
-    let (path, v) = bench_record(opts, "BENCH_load.json")?;
-    let mut md = String::new();
-    let _ = writeln!(md, "\n### Elastic serving — `bench_load` open-loop harness\n");
-    let _ = writeln!(
-        md,
-        "From `{}`: deterministic seeded arrivals driving scale `{}` seed {} \
-         (`{}` model, {} logical shards, {} workers, queue {}) — {} engine \
-         ops from {} stream events. Sojourn latency = completion − \
-         scheduled arrival (open-loop, so overload shows up instead of \
-         hiding behind coordinated omission). Machine-specific; excluded \
-         from determinism comparisons.\n",
-        path.display(),
-        text(&v, "scale"),
-        int(&v, "seed").unwrap_or(0),
-        text(&v, "model"),
-        int(&v, "shards").unwrap_or(0),
-        int(&v, "workers").unwrap_or(0),
-        int(&v, "queue_capacity").unwrap_or(0),
-        int(&v, "ops").unwrap_or(0),
-        int(&v, "stream_events").unwrap_or(0),
-    );
-
-    if let Some(leg) = v.get("capacity") {
-        let _ = writeln!(
-            md,
-            "Capacity (all arrivals at t=0, best of 3): {:.0} ops/s on {} shards × \
-             {} workers, backpressure {}.\n",
-            float(leg, "ops_per_sec").unwrap_or(0.0),
-            int(leg, "shards").unwrap_or(0),
-            int(leg, "workers").unwrap_or(0),
-            int(leg, "backpressure").unwrap_or(0),
-        );
-    }
-
-    let _ = writeln!(md, "Open-loop scenarios:\n");
-    header(
-        &mut md,
-        &[
-            "Scenario",
-            "Offered ops/s",
-            "Ingest p50",
-            "Ingest p99",
-            "Ingest p99.9",
-            "Query p50",
-            "Query p99",
-            "Query p99.9",
-            "Backpressure",
-            "Steals",
-        ],
-    );
-    for leg in items(&v, "scenarios") {
-        let q = |part: &str, key: &str| micros(leg.get(part).and_then(|p| int(p, key)));
-        let _ = writeln!(
-            md,
-            "| {} | {:.0} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            text(leg, "scenario"),
-            float(leg, "offered_ops_per_sec").unwrap_or(0.0),
-            q("ingest", "p50_us"),
-            q("ingest", "p99_us"),
-            q("ingest", "p999_us"),
-            q("query", "p50_us"),
-            q("query", "p99_us"),
-            q("query", "p999_us"),
-            int(leg, "backpressure").unwrap_or(0),
-            int(leg, "steals").unwrap_or(0),
-        );
-    }
-
-    let reshard = v.get("reshard");
-    let layouts: Vec<String> = reshard
-        .map_or(&[][..], |r| items(r, "layouts"))
-        .iter()
-        .map(|l| format!("{}×{}", int(l, "shards").unwrap_or(0), int(l, "workers").unwrap_or(0)))
-        .collect();
-    let _ = writeln!(
-        md,
-        "\nEvery leg's rec log vs. the replay reference: {}. Live reshard \
-         (snapshot at event {}, restored under {}): {}.",
-        identity(is_true(&v, "rec_log_identical")),
-        reshard.and_then(|r| int(r, "snapshot_at_event")).unwrap_or(0),
-        layouts.join(", "),
-        identity(reshard.is_some_and(|r| is_true(r, "identical"))),
-    );
-    Some(md)
-}
-
-/// The "### Scale generation" section, rendered from the `BENCH_scale.json`
-/// that `bench_scale --out <out_dir>/BENCH_scale.json` wrote, when present.
-/// Pure diagnostics of the streaming generator — never compared against
-/// paper figures (see EXPERIMENTS.md).
-fn scale_section(opts: &HarnessOptions) -> Option<String> {
-    let (path, v) = bench_record(opts, "BENCH_scale.json")?;
-    let mib = |n: Option<u64>| match n {
-        Some(0) | None => "—".to_owned(),
-        Some(n) => format!("{:.1} MiB", n as f64 / (1024.0 * 1024.0)),
+/// The section of every benchmark record in `opts.out_dir`: each
+/// `BENCH_*.json` that parses as a [`BenchRecord`], in file-name order.
+fn bench_sections(opts: &HarnessOptions) -> Vec<String> {
+    let Ok(dir) = std::fs::read_dir(&opts.out_dir) else {
+        return Vec::new();
     };
+    let mut paths: Vec<PathBuf> = dir.filter_map(|entry| Some(entry.ok()?.path())).collect();
+    paths.retain(|p| {
+        let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        name.starts_with("BENCH_") && name.ends_with(".json")
+    });
+    paths.sort();
+    let read = |path: &PathBuf| serde_json::from_slice(&std::fs::read(path).ok()?).ok();
+    paths.iter().filter_map(|path| Some(render_record(path, &read(path)?))).collect()
+}
+
+/// A benchmark record as a report section: what was measured, where and
+/// on which commit, then every param, headline number, stage, table row
+/// and check. A failed check reads **FAILED**.
+pub fn render_record(path: &Path, r: &BenchRecord) -> String {
     let mut md = String::new();
-    let _ = writeln!(md, "\n### Scale generation — `bench_scale` baseline\n");
+    let _ = writeln!(md, "\n### `{}` — {}\n", r.bench, r.what);
     let _ = writeln!(
         md,
-        "From `{}`: the streaming generator (chunked, {} events/chunk, {} \
-         graph) vs. full materialization, seed {}. Machine-specific — \
-         excluded from paper-figure comparisons.\n",
+        "From `{}`: scale `{}`, seed {}, commit `{}`, {} CPU(s), {}. Timings are \
+         machine-specific and excluded from determinism comparisons.\n",
         path.display(),
-        int(&v, "chunk_events").unwrap_or(0),
-        text(&v, "graph"),
-        int(&v, "seed").unwrap_or(0),
+        r.scale,
+        r.seed,
+        r.git_rev,
+        r.host.cpus,
+        r.host.os
     );
-    header(
-        &mut md,
-        &["Users", "Events", "Streaming events/s", "Streaming peak RSS", "Materialized peak RSS"],
-    );
-    for tier in items(&v, "tiers") {
-        let streaming = tier.get("streaming")?;
-        let materialized = tier.get("materialized").and_then(|m| int(m, "peak_rss_bytes"));
-        let _ = writeln!(
-            md,
-            "| {} | {} | {:.0} | {} | {} |",
-            int(tier, "users").unwrap_or(0),
-            int(tier, "events").unwrap_or(0),
-            float(streaming, "events_per_sec").unwrap_or(0.0),
-            mib(int(streaming, "peak_rss_bytes")),
-            mib(materialized),
-        );
+    for (title, fields) in [("Parameters", &r.params), ("Headline", &r.headline)] {
+        if !fields.0.is_empty() {
+            let entries: Vec<String> = fields
+                .0
+                .iter()
+                .map(|(name, v)| format!("{} {}", label(name), cell(name, v)))
+                .collect();
+            let _ = writeln!(md, "{title}: {}.\n", entries.join(", "));
+        }
     }
-    if let Some(serve) = v.get("serve") {
-        let backpressure: Vec<String> = items(serve, "backpressure")
-            .iter()
-            .map(|b| match b {
-                Value::Number(Number::PosInt(n)) => n.to_string(),
-                _ => "?".to_owned(),
-            })
-            .collect();
-        let _ = writeln!(
-            md,
-            "\nServing leg at {} users: {} events, {} queries, backpressure \
-             per layout [{}], recommendation logs {} across shard layouts.",
-            int(serve, "users").unwrap_or(0),
-            int(serve, "events").unwrap_or(0),
-            int(serve, "queries").unwrap_or(0),
-            backpressure.join(", "),
-            identity(is_true(serve, "rec_log_identical")),
-        );
+    let stages: Vec<Fields> = r
+        .stages
+        .iter()
+        .map(|s| {
+            fields! {
+                "stage": s.name, "count": s.count, "p50_us": s.p50_us, "p99_us": s.p99_us,
+                "total_s": s.total_s,
+            }
+        })
+        .collect();
+    let tables = r.tables.0.iter().map(|(name, rows)| (name.as_str(), rows));
+    for (name, rows) in std::iter::once(("stages", &stages)).chain(tables) {
+        if rows.is_empty() {
+            continue;
+        }
+        let mut columns: Vec<&str> = Vec::new();
+        for (column, _) in rows.iter().flat_map(|row| &row.0) {
+            if !columns.contains(&column.as_str()) {
+                columns.push(column);
+            }
+        }
+        let _ = writeln!(md, "`{name}`:\n");
+        header(&mut md, &columns.iter().map(|c| label(c)).collect::<Vec<_>>());
+        for row in rows {
+            let cells =
+                columns.iter().map(|&c| row.get(c).map_or_else(|| "—".to_owned(), |v| cell(c, v)));
+            let _ = writeln!(md, "| {} |", cells.collect::<Vec<_>>().join(" | "));
+        }
+        md.push('\n');
     }
-    Some(md)
+    for c in &r.checks {
+        let _ = writeln!(md, "- {}: {}", if c.ok { "ok" } else { "**FAILED**" }, c.check);
+    }
+    md
+}
+
+/// A record field's name without the unit suffix [`cell`] prints instead.
+fn label(name: &str) -> &str {
+    ["_us", "_s", "_bytes"].iter().find_map(|unit| name.strip_suffix(unit)).unwrap_or(name)
+}
+
+/// A record value as a table cell, in the unit its name ends in: `_us`
+/// and `_s` as durations, `_bytes` in MiB.
+fn cell(name: &str, v: &Value) -> String {
+    let seconds = |s: f64| Duration::try_from_secs_f64(s).map_or_else(|_| "—".to_owned(), human);
+    match (v, f64::deserialize(v).ok().filter(|x| x.is_finite())) {
+        (Value::Array(items), _) => {
+            let items: Vec<String> = items.iter().map(|item| cell(name, item)).collect();
+            format!("[{}]", items.join(", "))
+        }
+        (_, Some(x)) if name.ends_with("_us") => seconds(x / 1e6),
+        (_, Some(x)) if name.ends_with("_s") => seconds(x),
+        (_, Some(x)) if name.ends_with("_bytes") => format!("{:.1} MiB", x / (1024.0 * 1024.0)),
+        (Value::Number(Number::Float(_)), Some(x)) if x.abs() >= 1000.0 => format!("{x:.0}"),
+        (Value::Number(Number::Float(_)), Some(x)) => format!("{x:.3}"),
+        (Value::String(s), _) => s.clone(),
+        (Value::Null, _) => "—".to_owned(),
+        _ => v.to_string(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::tests::tiny_opts;
+    use crate::Stage;
 
     #[test]
     fn renders_every_table_and_figure_once_without_bench_files() {
@@ -706,6 +495,46 @@ mod tests {
         assert_eq!(rows.len(), cache.sources.len(), "{rows:?}");
         for (row, source) in rows.iter().zip(&cache.sources) {
             assert!(row.starts_with(&format!("| TNG | {source} | `TNG ")), "{row}");
+        }
+    }
+
+    #[test]
+    fn a_record_renders_every_entry_and_a_failed_check_reads_failed() {
+        let params = fields! { "model": "bag", "shards": 4 };
+        let mut record = BenchRecord::new("bench_fixture", "a fixture run", "smoke", 7, params);
+        record.stages = vec![Stage::timed("replay", &[Duration::from_millis(3)])];
+        record.headline =
+            fields! { "events": 3596, "events_per_sec": 8648.6, "peak_rss_bytes": 1 << 21 };
+        record.table(
+            "families",
+            vec![
+                fields! { "model": "graph", "drift": 0.25 },
+                fields! { "model": "topic", "p_value": 0.5345, "identical": true },
+            ],
+        );
+        record.check("the logs pair up", true);
+        record.check("the reshard continues the log", false);
+        let md = render_record(Path::new("out/BENCH_fixture.json"), &record);
+        let expected = [
+            "\n### `bench_fixture` — a fixture run\n",
+            "From `out/BENCH_fixture.json`: scale `smoke`, seed 7, commit `",
+            &format!(
+                "commit `{}`, {} CPU(s), {}.",
+                record.git_rev, record.host.cpus, record.host.os
+            ),
+            "Parameters: model bag, shards 4.",
+            "Headline: events 3596, events_per_sec 8649, peak_rss 2.0 MiB.",
+            "| stage | count | p50 | p99 | total |",
+            "| replay | 1 | 3.0ms | 3.0ms | 3.0ms |",
+            "`families`:",
+            "| model | drift | p_value | identical |",
+            "| graph | 0.250 | — | — |",
+            "| topic | — | 0.534 | true |",
+            "- ok: the logs pair up",
+            "- **FAILED**: the reshard continues the log",
+        ];
+        for line in expected {
+            assert!(md.contains(line), "missing {line:?} in\n{md}");
         }
     }
 }

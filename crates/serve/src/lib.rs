@@ -75,8 +75,7 @@ pub use engine::Engine;
 pub use feed::{corpus_ops, Op};
 pub use ingest::ingest_stream;
 pub use replay::{precompute_features, rec_log, Replay, ReplayOptions, ReplayOutcome};
-pub use shard::{RecItem, Recommendation, TweetFeatures};
+pub use shard::{RecItem, Recommendation, TweetFeatures, UserModel};
 pub use snapshot::{
-    EngineSnapshot, SnapshotHeader, UserModelSnapshot, UserSnapshot, WindowEntrySnapshot,
-    SNAPSHOT_VERSION,
+    EngineSnapshot, SnapshotHeader, UserSnapshot, WindowEntrySnapshot, SNAPSHOT_VERSION,
 };

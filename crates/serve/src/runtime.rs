@@ -275,10 +275,22 @@ impl std::fmt::Debug for ShardRuntime {
     }
 }
 
+/// A worker's reusable buffers, lent to every shard it runs: the batch a
+/// turn drains from a mailbox, the replies the batch produced, and the
+/// query scratch. A turn empties the batch and the replies before it ends,
+/// so only their capacity carries from one shard to the next, and queries
+/// reuse one scoring kernel per thread however many logical shards exist.
+#[derive(Default)]
+struct WorkerBuffers {
+    batch: Vec<ShardMsg>,
+    replies: Vec<ShardReply>,
+    scratch: QueryScratch,
+}
+
 /// One worker: pull run tokens off the injector, drain the named shard,
-/// park when nothing is runnable. The worker owns one [`QueryScratch`] and
-/// lends it to every shard it runs, so queries reuse one scoring kernel
-/// per thread however many logical shards exist. A panic anywhere in
+/// park when nothing is runnable. The worker owns one [`WorkerBuffers`]
+/// and lends it to every shard it runs, so the loop allocates nothing per
+/// turn once the buffers are warm. A panic anywhere in
 /// message handling is caught per token: record the abort, wake every
 /// waiter, send [`ShardReply::Aborted`] so the engine's snapshot barrier
 /// fails fast instead of waiting forever for a dead shard's reply, then
@@ -290,7 +302,7 @@ fn worker_loop(
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
 ) {
-    let mut scratch = QueryScratch::default();
+    let mut buffers = WorkerBuffers::default();
     loop {
         let task = match tasks.try_recv() {
             Ok(task) => task,
@@ -308,7 +320,7 @@ fn worker_loop(
             Task::Stop => return,
         };
         let turn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_shard(worker, shard, shared, injector, reply, &mut scratch);
+            run_shard(worker, shard, shared, injector, reply, &mut buffers);
         }));
         if let Err(payload) = turn {
             let detail = panic_detail(payload.as_ref());
@@ -328,12 +340,12 @@ fn run_shard(
     shared: &Shared,
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
-    scratch: &mut QueryScratch,
+    buffers: &mut WorkerBuffers,
 ) {
     let cell = &shared.cells[shard];
-    let mut replies: Vec<ShardReply> = Vec::new();
+    let WorkerBuffers { batch, replies, scratch } = buffers;
     for _turn in 0..MAX_TURNS {
-        let (batch, was_full) = {
+        let was_full = {
             let mut mb = cell.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
             if mb.last_worker != worker {
                 if mb.last_worker != usize::MAX {
@@ -343,8 +355,8 @@ fn run_shard(
             }
             let was_full = mb.queue.len() >= shared.capacity;
             let n = mb.queue.len().min(BATCH);
-            let batch: Vec<ShardMsg> = mb.queue.drain(..n).collect();
-            (batch, was_full)
+            batch.extend(mb.queue.drain(..n));
+            was_full
         };
         if was_full {
             // The producer may be parked on the full mailbox; the drain
@@ -353,8 +365,8 @@ fn run_shard(
         }
         {
             let mut state = cell.state.lock().unwrap_or_else(PoisonError::into_inner);
-            for msg in batch {
-                state.apply(msg, &mut replies, scratch);
+            for msg in batch.drain(..) {
+                state.apply(msg, replies, scratch);
             }
         }
         for r in replies.drain(..) {

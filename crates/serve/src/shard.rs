@@ -24,7 +24,7 @@ use pmr_topics::{TopicBackground, TopicDoc, TopicProfile};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{EngineConfig, ServeModel};
-use crate::snapshot::{UserModelSnapshot, UserSnapshot, WindowEntrySnapshot};
+use crate::snapshot::{UserSnapshot, WindowEntrySnapshot};
 
 /// A tweet's model-ready features, computed once at ingest and shared by
 /// reference with every shard that sees the tweet.
@@ -106,14 +106,19 @@ pub(crate) enum ShardReply {
 }
 
 /// The per-user online model, matching the engine's [`ServeModel`]: the
-/// engine's one per-user model dispatch. Each variant holds only what is
-/// the user's own — a decayed vector, a merged graph, a decayed θ
-/// accumulator. The feature spaces are shared: document features arrive
-/// prebuilt, and the topic background lives once per shard ([`FoldIns`]).
-#[derive(Debug)]
-enum UserModel {
+/// engine's one per-user model dispatch, and what a snapshot's user line
+/// stores (tagged by variant name). Each variant holds only what is the
+/// user's own — a decayed vector, a merged graph, a decayed θ accumulator.
+/// The feature spaces are shared: document features arrive prebuilt, and
+/// the topic background lives once per shard (`FoldIns`) and is carried
+/// by a snapshot header's `epoch`, not per user.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum UserModel {
+    /// Decayed bag centroid.
     Bag(OnlineProfile),
+    /// Incremental n-gram graph.
     Graph(OnlineGraphModel),
+    /// Decayed topic profile (fold-in θ accumulator).
     Topic(TopicProfile),
 }
 
@@ -153,11 +158,6 @@ impl UserState {
         snapshot: &UserSnapshot,
         resolve: &dyn Fn(TweetId) -> Option<Arc<TweetFeatures>>,
     ) -> UserState {
-        let model = match &snapshot.model {
-            UserModelSnapshot::Bag(profile) => UserModel::Bag(profile.clone()),
-            UserModelSnapshot::Graph(graph) => UserModel::Graph(graph.clone()),
-            UserModelSnapshot::Topic(profile) => UserModel::Topic(profile.clone()),
-        };
         let window = snapshot
             .window
             .iter()
@@ -166,21 +166,16 @@ impl UserState {
                 Some(WindowEntry { tweet: TweetId(e.tweet), at: e.at, features })
             })
             .collect();
-        UserState { model, window }
+        UserState { model: snapshot.model.clone(), window }
     }
 
     fn snapshot(&self, user: UserId) -> UserSnapshot {
-        let model = match &self.model {
-            UserModel::Bag(profile) => UserModelSnapshot::Bag(profile.clone()),
-            UserModel::Graph(graph) => UserModelSnapshot::Graph(graph.clone()),
-            UserModel::Topic(profile) => UserModelSnapshot::Topic(profile.clone()),
-        };
         let window = self
             .window
             .iter()
             .map(|e| WindowEntrySnapshot { tweet: e.tweet.0, at: e.at })
             .collect();
-        UserSnapshot { user: user.0, model, window }
+        UserSnapshot { user: user.0, model: self.model.clone(), window }
     }
 }
 

@@ -20,12 +20,12 @@
 //! re-derives with the window features; so, like the topic background, the
 //! id space is not serialized, and scoring never changes a snapshot.
 
-use pmr_core::{OnlineGraphModel, OnlineProfile, PmrError, PmrResult};
+use pmr_core::{PmrError, PmrResult};
 use pmr_sim::Timestamp;
-use pmr_topics::TopicProfile;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{EngineConfig, ServeModel};
+use crate::shard::UserModel;
 
 /// Current snapshot format version; bumped on breaking layout changes.
 /// v2 added the `epoch` header field and the topic user-model variant. v3
@@ -55,18 +55,6 @@ pub struct SnapshotHeader {
     pub users: u64,
 }
 
-/// A user's serialized online model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum UserModelSnapshot {
-    /// Decayed bag centroid.
-    Bag(OnlineProfile),
-    /// Incremental n-gram graph.
-    Graph(OnlineGraphModel),
-    /// Decayed topic profile (fold-in θ accumulator); the shared background
-    /// model is carried by the header's `epoch`, not per user.
-    Topic(TopicProfile),
-}
-
 /// One remembered feed tweet, by reference; features are recomputed on
 /// restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,7 +71,7 @@ pub struct UserSnapshot {
     /// The user's id.
     pub user: u32,
     /// Their online model.
-    pub model: UserModelSnapshot,
+    pub model: UserModel,
     /// Their candidate window.
     pub window: Vec<WindowEntrySnapshot>,
 }
@@ -182,9 +170,9 @@ impl EngineSnapshot {
         for user in &self.users {
             let same_family = matches!(
                 (&user.model, config),
-                (UserModelSnapshot::Bag(_), ServeModel::Bag { .. })
-                    | (UserModelSnapshot::Graph(_), ServeModel::Graph { .. })
-                    | (UserModelSnapshot::Topic(_), ServeModel::Topic { .. })
+                (UserModel::Bag(_), ServeModel::Bag { .. })
+                    | (UserModel::Graph(_), ServeModel::Graph { .. })
+                    | (UserModel::Topic(_), ServeModel::Topic { .. })
             );
             if !same_family {
                 return invalid(format!(
@@ -203,6 +191,7 @@ mod tests {
     use super::*;
     use crate::config::ServeModel;
     use pmr_bag::{BagSimilarity, SparseVector, WeightingScheme};
+    use pmr_core::{OnlineGraphModel, OnlineProfile};
     use pmr_graph::{GraphSimilarity, NGramGraph};
 
     fn sample() -> EngineSnapshot {
@@ -228,7 +217,7 @@ mod tests {
             },
             users: vec![UserSnapshot {
                 user: 3,
-                model: UserModelSnapshot::Bag(profile),
+                model: UserModel::Bag(profile),
                 window: vec![WindowEntrySnapshot { tweet: 11, at: 900 }],
             }],
         }
@@ -252,7 +241,7 @@ mod tests {
         let mut snap = sample();
         snap.header.config.model =
             ServeModel::Graph { similarity: GraphSimilarity::Value, char_grams: false, n: 1 };
-        snap.users[0].model = UserModelSnapshot::Graph(model);
+        snap.users[0].model = UserModel::Graph(model);
         let text = snap.to_jsonl().expect("serializes");
         assert!(EngineSnapshot::from_jsonl(&text).is_ok());
         // Edges a-b and b-c: keys 1 and 2^32 + 2.
@@ -285,8 +274,7 @@ mod tests {
     #[test]
     fn a_user_model_of_another_family_is_rejected() {
         let mut snap = sample();
-        snap.users[0].model =
-            UserModelSnapshot::Graph(OnlineGraphModel::new(GraphSimilarity::Value));
+        snap.users[0].model = UserModel::Graph(OnlineGraphModel::new(GraphSimilarity::Value));
         let text = snap.to_jsonl().expect("serializes");
         assert!(rejected(&text).contains("another family"));
     }
