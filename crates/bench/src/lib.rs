@@ -6,9 +6,8 @@
 //! | Binary | Produces |
 //! |--------|----------|
 //! | `run_sweep` | the full 223-configuration × 13-source sweep (cached as JSON; every other binary reuses it) |
-//! | `write_report` | Tables 2, 3, 6 and 7 and Figures 3–7 as markdown sections, rendered by [`report`] |
+//! | `write_report` | Tables 2, 3, 6 and 7, Figures 3–7 and the paper's paired significance statements as markdown sections, rendered by [`report`] |
 //! | `tables45_config_grid` | Tables 4 & 5 — the configuration grid |
-//! | `significance` | the paper's paired significance statements |
 //! | `ablations` | ablations of the design choices |
 //! | `bench_serve` | serving throughput and query latency (`BENCH_serve.json`) |
 //! | `bench_drift` | online-vs-oracle MAP drift per serving family (`BENCH_drift.json`) |

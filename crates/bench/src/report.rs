@@ -2,16 +2,19 @@
 //! sweep, plus a section per benchmark record (`BENCH_*.json`) found in the
 //! output directory — the markdown behind `write_report` and EXPERIMENTS.md.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pmr_core::timing::human;
-use pmr_core::{ModelFamily, RepresentationSource};
+use pmr_core::{
+    paired_randomization_test, wilcoxon_signed_rank, ModelFamily, RepresentationSource,
+};
 use pmr_obs::{HistogramSnapshot, MetricsSnapshot};
 use pmr_sim::stats::{language_distribution, Table2, VolumeStats};
 use pmr_sim::usertype::{partition_users, UserGroup};
-use pmr_sim::{generate_corpus, Corpus, GroupStats};
+use pmr_sim::{generate_corpus, Corpus, GroupStats, UserId};
 use serde::Deserialize;
 use serde_json::{Number, Value};
 
@@ -49,6 +52,7 @@ pub fn render(opts: &HarnessOptions, cache: &SweepCache) -> String {
     figure7(&mut md, cache);
     table7(&mut md, cache);
     robustness(&mut md, cache);
+    significance(&mut md, cache, opts.seed);
     // Diagnostics, each only when its input exists: the --metrics-out
     // summary this invocation wrote, and the BENCH records in out_dir.
     md.extend(observability_section(opts));
@@ -219,6 +223,69 @@ fn robustness(md: &mut String, cache: &SweepCache) {
         let s = cache.summary(family, RepresentationSource::R, UserGroup::All);
         let cells = [s.min, s.mean, s.max, s.deviation()].map(|v| format!("{v:.3}"));
         let _ = writeln!(md, "| {} | {} |", family.name(), cells.join(" | "));
+    }
+}
+
+/// The family pairs of the paper's §5 significance statements: TNG vs TN,
+/// token vs character, the strongest topic model vs the baseline one, and
+/// context-based vs context-agnostic.
+const SIGNIFICANCE_PAIRS: [(ModelFamily, ModelFamily); 6] = [
+    (ModelFamily::TNG, ModelFamily::TN),
+    (ModelFamily::TN, ModelFamily::CN),
+    (ModelFamily::TNG, ModelFamily::CNG),
+    (ModelFamily::BTM, ModelFamily::LDA),
+    (ModelFamily::TN, ModelFamily::BTM),
+    (ModelFamily::CNG, ModelFamily::CN),
+];
+
+/// Significance (§5): each pair's per-user APs on source R over All Users,
+/// paired by user, under a paired randomization test (10,000 permutations
+/// seeded by `seed`) and a Wilcoxon signed-rank test — once with each
+/// family's APs averaged over its configurations, once for each family's
+/// best configuration.
+fn significance(md: &mut String, cache: &SweepCache, seed: u64) {
+    let source = RepresentationSource::R;
+    let members = cache.group_members(UserGroup::All);
+    let _ = writeln!(
+        md,
+        "\n### Significance (§5) — paired tests on source {source} (All Users, n = {})",
+        members.len()
+    );
+    // A family's per-user AP, averaged over the runs `best_only` selects.
+    let user_aps = |family: ModelFamily, best_only: bool| -> BTreeMap<UserId, f64> {
+        let runs: Vec<_> = if best_only {
+            cache.best_config(family, source).into_iter().collect()
+        } else {
+            let all = cache.sweep.results.iter();
+            all.filter(|r| r.family == family && r.source == source).collect()
+        };
+        let mut sums: BTreeMap<UserId, (f64, usize)> = BTreeMap::new();
+        for &(user, ap) in runs.iter().flat_map(|r| &r.per_user_ap) {
+            let sum = sums.entry(user).or_default();
+            *sum = (sum.0 + ap, sum.1 + 1);
+        }
+        sums.into_iter().map(|(user, (sum, n))| (user, sum / n as f64)).collect()
+    };
+    for (best_only, title) in [(false, "Mean over configurations"), (true, "Best configuration")] {
+        let _ = writeln!(md, "\n{title} per family:\n");
+        header(md, &["Pair", "Δ mean AP", "Permutation p", "Wilcoxon p", "p < 0.05"]);
+        for (a, b) in SIGNIFICANCE_PAIRS {
+            let (aps_a, aps_b) = (user_aps(a, best_only), user_aps(b, best_only));
+            let (xs, ys): (Vec<f64>, Vec<f64>) =
+                members.iter().filter_map(|u| Some((*aps_a.get(u)?, *aps_b.get(u)?))).unzip();
+            let perm = paired_randomization_test(&xs, &ys, 10_000, seed);
+            let wilcoxon = wilcoxon_signed_rank(&xs, &ys);
+            let _ = writeln!(
+                md,
+                "| {} vs {} | {:+.3} | {:.4} | {:.4} | {} |",
+                a.name(),
+                b.name(),
+                perm.mean_difference,
+                perm.p_value,
+                wilcoxon.p_value,
+                if perm.significant() { "yes" } else { "no" }
+            );
+        }
     }
 }
 
@@ -483,6 +550,7 @@ mod tests {
             "Figure 7",
             "Table 7",
             "Robustness",
+            "Significance",
         ];
         for section in sections {
             assert_eq!(md.matches(&format!("\n### {section} ")).count(), 1, "{section}");

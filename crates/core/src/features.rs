@@ -18,9 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pmr_sim::TweetId;
 use pmr_text::vocab::{TermId, Vocabulary};
@@ -185,7 +183,9 @@ impl FeatureCache {
 
     /// The table for `key`, building it with `build` exactly once.
     pub fn table(&self, key: FeatureKey, build: impl FnOnce() -> GramTable) -> Arc<GramTable> {
-        let cell = Arc::clone(self.tables.lock().entry(key).or_default());
+        let cell = Arc::clone(
+            self.tables.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+        );
         let mut built = false;
         let table = cell.get_or_init(|| {
             built = true;
@@ -219,6 +219,7 @@ impl FeatureCache {
     pub fn built_keys(&self) -> Vec<FeatureKey> {
         self.tables
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter(|(_, cell)| cell.get().is_some())
             .map(|(&key, _)| key)

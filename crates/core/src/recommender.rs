@@ -35,6 +35,7 @@ use pmr_topics::{
 
 use crate::config::{AggKind, ModelConfiguration};
 use crate::eval::{average_precision, ScoredDoc};
+use crate::executor::nested_map;
 use crate::features::GramKind;
 use crate::prepare::PreparedCorpus;
 use crate::source::RepresentationSource;
@@ -271,9 +272,8 @@ where
     let mut per_user_results = Vec::with_capacity(users.len());
     let mut train_time = Duration::ZERO;
     let mut test_time = Duration::ZERO;
-    // Work items are independent; run them on scoped threads and collect
-    // deterministically by index.
-    let results: Vec<Option<(UserResult, Duration, Duration)>> = parallel_map(users, |&user| {
+    // Users are independent: score them on the nested pool, in user order.
+    let results: Vec<Option<(UserResult, Duration, Duration)>> = nested_map(users, |&user| {
         let user_split = split.user(user)?;
         let train = split.train_ids(corpus, user, source);
         let test = user_split.test_docs();
@@ -297,34 +297,6 @@ where
         test_time += r.2;
     }
     ScoreOutcome { per_user: per_user_results, train_time, test_time }
-}
-
-/// Run `f` over `items` on scoped threads, preserving order. Respects the
-/// executor's inner-thread hint so that a parallel sweep of runs does not
-/// oversubscribe the machine with `jobs × n_cpu` threads.
-fn parallel_map<T: Sync, R: Send, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = crate::executor::inner_threads();
-    let chunk = items.len().div_ceil(threads.max(1)).max(1);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (ci, items_chunk) in items.chunks(chunk).enumerate() {
-            let f = &f;
-            handles.push((ci, scope.spawn(move || items_chunk.iter().map(f).collect::<Vec<R>>())));
-        }
-        for (ci, h) in handles {
-            // pmr-lint: allow(lib-unwrap): re-raises a worker panic on the coordinating thread
-            let results = h.join().expect("worker panicked");
-            for (i, r) in results.into_iter().enumerate() {
-                out[ci * chunk + i] = Some(r);
-            }
-        }
-    });
-    // pmr-lint: allow(lib-unwrap): every index is written exactly once by the chunk loop above
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
 }
 
 /// Topic-model regime: train one `M(s)`, infer distributions, aggregate,
@@ -393,7 +365,7 @@ where
     needed.sort();
     needed.dedup();
     let model_ref: &dyn TopicModel = model.as_ref();
-    let thetas: Vec<Vec<f32>> = parallel_map(&needed, |&id| {
+    let thetas: Vec<Vec<f32>> = nested_map(&needed, |&id| {
         let encoded = topic_corpus.encode(prepared.content(id));
         let mut rng =
             StdRng::seed_from_u64(opts.seed ^ (id.0 as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
@@ -520,18 +492,28 @@ mod tests {
         assert_eq!(dense_cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
     }
 
+    /// Per-user scoring and θ inference map over their items with
+    /// `nested_map`, which must keep input order inline (budget 1) and on
+    /// the claim loop (budget 3).
     #[test]
     fn parallel_map_preserves_order() {
+        let _lock = crate::executor::tests::hint_lock();
         let items: Vec<usize> = (0..97).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        let doubled: Vec<usize> = items.iter().map(|x| x * 2).collect();
+        for budget in [1, 3] {
+            let _budget = crate::executor::InnerThreadsGuard::install(budget);
+            assert_eq!(nested_map(&items, |&x| x * 2), doubled, "budget {budget}");
+        }
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map(&empty, |&x: &usize| x).is_empty());
-        assert_eq!(parallel_map(&[7usize], |&x| x + 1), vec![8]);
+        let _lock = crate::executor::tests::hint_lock();
+        for budget in [1, 3] {
+            let _budget = crate::executor::InnerThreadsGuard::install(budget);
+            assert!(nested_map(&[] as &[usize], |&x| x).is_empty(), "budget {budget}");
+            assert_eq!(nested_map(&[7usize], |&x| x + 1), vec![8], "budget {budget}");
+        }
     }
 
     #[test]
@@ -587,5 +569,89 @@ mod tests {
         assert_eq!(opts.scale(1_000), 5);
         let opts = ScoringOptions::paper();
         assert_eq!(opts.scale(1_000), 1_000);
+    }
+
+    /// The smoke corpus, prepared once for the nested-pool tests below.
+    fn smoke() -> &'static PreparedCorpus {
+        static PREPARED: std::sync::OnceLock<PreparedCorpus> = std::sync::OnceLock::new();
+        PREPARED.get_or_init(|| {
+            use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
+            let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 99));
+            PreparedCorpus::new(corpus, crate::SplitConfig::default())
+                .expect("smoke corpus is well-formed")
+        })
+    }
+
+    /// One bag, one graph and one LDA configuration: the nested map runs
+    /// per-user scoring for the first two and θ inference for the third.
+    fn nested_configs() -> [ModelConfiguration; 3] {
+        use pmr_bag::{BagSimilarity, WeightingScheme};
+        [
+            ModelConfiguration::Bag {
+                char_grams: false,
+                n: 1,
+                weighting: WeightingScheme::TFIDF,
+                aggregation: AggKind::Centroid,
+                similarity: BagSimilarity::Cosine,
+            },
+            ModelConfiguration::Graph {
+                char_grams: false,
+                n: 1,
+                similarity: pmr_graph::GraphSimilarity::Value,
+            },
+            ModelConfiguration::Lda {
+                topics: 20,
+                iterations: 1_000,
+                pooling: PoolingScheme::UP,
+                aggregation: AggKind::Centroid,
+            },
+        ]
+    }
+
+    fn quick_opts() -> ScoringOptions {
+        ScoringOptions { iteration_scale: 0.01, infer_iterations: 5, ..ScoringOptions::default() }
+    }
+
+    #[test]
+    fn per_user_aps_are_bit_equal_at_inner_budgets_1_and_3() {
+        let _lock = crate::executor::tests::hint_lock();
+        let prepared = smoke();
+        let users: Vec<UserId> = prepared.corpus.evaluated_user_ids().collect();
+        for config in nested_configs() {
+            let aps = |budget| {
+                let _budget = crate::executor::InnerThreadsGuard::install(budget);
+                let outcome = score_configuration(
+                    prepared,
+                    &config,
+                    RepresentationSource::R,
+                    &users,
+                    &quick_opts(),
+                );
+                outcome.per_user.iter().map(|u| (u.user, u.ap.to_bits())).collect::<Vec<_>>()
+            };
+            let inline = aps(1);
+            assert!(!inline.is_empty(), "{}", config.describe());
+            assert_eq!(aps(3), inline, "{}", config.describe());
+        }
+    }
+
+    #[test]
+    fn only_the_outer_pool_records_executor_metrics() {
+        let _lock = crate::executor::tests::hint_lock();
+        let _budget = crate::executor::InnerThreadsGuard::install(3);
+        let prepared = smoke();
+        let users: Vec<UserId> = prepared.corpus.evaluated_user_ids().collect();
+        let tasks = nested_configs().to_vec();
+        let recorder = pmr_obs::install(pmr_obs::Recorder::monotonic());
+        crate::executor::run_tasks(tasks.clone(), 2, |_, config| {
+            score_configuration(prepared, &config, RepresentationSource::R, &users, &quick_opts())
+        });
+        pmr_obs::uninstall();
+        let metrics = recorder.metrics().snapshot();
+        let count = |name: &str| metrics.histogram(name).map(|h| h.count);
+        assert_eq!(metrics.counter("executor.tasks_submitted"), tasks.len() as u64);
+        assert_eq!(count("executor.pool_wall"), Some(1));
+        assert_eq!(count("executor.task"), Some(tasks.len() as u64));
+        assert_eq!(count("executor.worker_busy"), Some(2), "one sample per outer worker");
     }
 }

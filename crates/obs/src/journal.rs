@@ -16,8 +16,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A single typed field value of a journal event.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,13 +118,13 @@ impl Journal {
             line.push('}');
         }
         line.push('}');
-        let mut out = self.out.lock();
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(out, "{line}");
     }
 
     /// Flush buffered lines to disk.
     pub fn flush(&self) {
-        let _ = self.out.lock().flush();
+        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 

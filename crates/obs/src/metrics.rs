@@ -7,9 +7,9 @@
 //! are compile-time constants, independent of the data's range.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Upper bounds (inclusive, in µs) of the histogram buckets: powers of four
@@ -164,7 +164,7 @@ impl MetricsRegistry {
 
     /// Add `delta` to a counter (created at zero on first touch).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.counters.get_mut(name) {
             Some(c) => *c = c.saturating_add(delta),
             None => {
@@ -175,12 +175,13 @@ impl MetricsRegistry {
 
     /// Set a gauge to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner.lock().gauges.insert(name.to_owned(), value);
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.gauges.insert(name.to_owned(), value);
     }
 
     /// Record one duration observation into a histogram.
     pub fn observe(&self, name: &str, d: Duration) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.histograms.get_mut(name) {
             Some(h) => h.observe(d),
             None => {
@@ -193,7 +194,7 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),

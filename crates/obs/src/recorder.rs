@@ -10,10 +10,8 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
-
-use parking_lot::RwLock;
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::journal::{Field, Journal};
@@ -90,17 +88,15 @@ fn duration_us(d: Duration) -> u64 {
 /// Fast path: is a recorder installed at all?
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-fn global() -> &'static RwLock<Option<Arc<Recorder>>> {
-    static GLOBAL: OnceLock<RwLock<Option<Arc<Recorder>>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(None))
-}
+/// The installed recorder.
+static GLOBAL: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
 
 /// Install `recorder` as the process-global sink, returning a handle to it.
 /// Replaces (and returns through [`uninstall`] semantics drops) any
 /// previously installed recorder.
 pub fn install(recorder: Recorder) -> Arc<Recorder> {
     let arc = Arc::new(recorder);
-    *global().write() = Some(Arc::clone(&arc));
+    *GLOBAL.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&arc));
     ACTIVE.store(true, Ordering::SeqCst);
     arc
 }
@@ -108,7 +104,7 @@ pub fn install(recorder: Recorder) -> Arc<Recorder> {
 /// Remove the global recorder, returning it (flushed) if one was installed.
 pub fn uninstall() -> Option<Arc<Recorder>> {
     ACTIVE.store(false, Ordering::SeqCst);
-    let prev = global().write().take();
+    let prev = GLOBAL.write().unwrap_or_else(PoisonError::into_inner).take();
     if let Some(rec) = &prev {
         rec.flush();
     }
@@ -120,7 +116,7 @@ pub fn active() -> Option<Arc<Recorder>> {
     if !ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
-    global().read().clone()
+    GLOBAL.read().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 /// The injected clock's current reading, when a recorder is installed.
@@ -248,12 +244,12 @@ impl Drop for TimerGuard {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, MutexGuard};
 
     /// Global-recorder tests share process state; serialize them.
-    fn test_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
+    fn test_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn manual_recorder() -> (Arc<ManualClock>, Recorder) {
@@ -271,7 +267,7 @@ mod tests {
 
     #[test]
     fn inactive_calls_are_noops() {
-        let _guard = test_lock().lock();
+        let _guard = test_lock();
         uninstall();
         assert!(now().is_none());
         assert!(snapshot().is_none());
@@ -284,7 +280,7 @@ mod tests {
 
     #[test]
     fn spans_nest_into_hierarchical_paths() {
-        let _guard = test_lock().lock();
+        let _guard = test_lock();
         let (clock, rec) = manual_recorder();
         install(rec);
         {
@@ -307,7 +303,7 @@ mod tests {
 
     #[test]
     fn timer_feeds_histogram_deterministically() {
-        let _guard = test_lock().lock();
+        let _guard = test_lock();
         let (clock, rec) = manual_recorder();
         install(rec);
         for _ in 0..3 {
@@ -325,7 +321,7 @@ mod tests {
 
     #[test]
     fn journal_records_span_events_with_manual_timestamps() {
-        let _guard = test_lock().lock();
+        let _guard = test_lock();
         let path =
             std::env::temp_dir().join(format!("pmr_obs_recorder_{}.jsonl", std::process::id()));
         let (clock, rec) = manual_recorder();

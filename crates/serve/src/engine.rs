@@ -15,9 +15,9 @@
 //! them, which is why shard scheduling never leaks into output order.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
-use crossbeam::channel::{self, Receiver};
 use pmr_core::{PmrError, PmrResult};
 use pmr_sim::{Timestamp, TweetId, UserId};
 use pmr_topics::TopicBackground;
@@ -95,7 +95,7 @@ impl Engine {
         for (user, state) in users {
             partitions[user.0 as usize % runtime.shards].insert(user, state);
         }
-        let (reply_tx, reply_rx) = channel::unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         let runtime = ShardRuntime::start(config, runtime, partitions, &reply_tx);
         Engine {
             config,

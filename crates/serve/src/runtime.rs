@@ -12,16 +12,24 @@
 //!
 //! [`ShardRuntime`] is an actor-style work-stealing runtime: every logical
 //! shard owns a mailbox (`Mutex<VecDeque> + Condvar`), and `workers` OS
-//! threads pull *runnable shards* from a shared injector queue. A shard
-//! becomes runnable when its mailbox goes non-empty; the `scheduled` flag
-//! guarantees at most one run token per shard exists, which is exactly
-//! invariant (2). A worker drains a shard in batches and re-queues it after
-//! [`MAX_TURNS`] batches (a cooperative yield, so a celebrity-storm shard
-//! cannot starve its siblings), or parks on the injector when nothing is
-//! runnable. Whichever worker dequeues the token runs the shard — that is
-//! the "steal": shards migrate freely between workers, counted by
-//! `serve.runtime.steals`. Shard count is therefore a pure partitioning
-//! knob, independent of thread count.
+//! threads pull *runnable shards* from a shared run queue, a cell of the
+//! same shape. A shard becomes runnable when its mailbox goes non-empty;
+//! the `scheduled` flag guarantees at most one run token per shard exists,
+//! which is exactly invariant (2). A worker drains a shard in batches and
+//! re-queues it after [`MAX_TURNS`] batches (a cooperative yield, so a
+//! celebrity-storm shard cannot starve its siblings), or parks on the run
+//! queue's condvar when nothing is runnable. Whichever worker dequeues the
+//! token runs the shard — that is the "steal": shards migrate freely
+//! between workers, counted by `serve.runtime.steals`. Shard count is
+//! therefore a pure partitioning knob, independent of thread count.
+//!
+//! The run queue cannot lose a wakeup: a worker checks for a token and
+//! starts waiting under the queue's lock, and a push appends its token
+//! under that lock before it notifies one waiter. So a worker that found
+//! the queue empty is already waiting when the notify lands, and every
+//! queued token has either a worker that re-checks the queue before it
+//! next waits or a notified waiter. Only shutdown pushes `Stop`, one per
+//! worker, once every run token has retired or the runtime aborted.
 //!
 //! Cooperative blocking in the mailbox path is intentional and bounded:
 //! the single producer parks on a full mailbox's condvar (after bumping
@@ -29,24 +37,24 @@
 //! shutdown parks until each mailbox is idle. Neither wait can deadlock:
 //! a non-empty mailbox always has a live run token, and every wait
 //! re-checks the runtime's abort flag on a short tick, so a dead worker
-//! fails posts fast instead of wedging the producer. Channel use is
-//! one-directional per endpoint holder (messages in via mailboxes, replies
-//! out via one unbounded channel), so no request/reply channel cycle
-//! exists for a full queue to close.
+//! fails posts fast instead of wedging the producer. Messages flow one
+//! way per path (in via mailboxes, replies out via one unbounded std
+//! `mpsc` channel), so no request/reply channel cycle exists for a full
+//! queue to close.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use pmr_sim::UserId;
 
 use crate::config::{EngineConfig, RuntimeOptions};
 use crate::shard::{panic_detail, QueryScratch, ShardMsg, ShardReply, ShardState, UserState};
 
-/// Messages a worker pulls from the shared injector queue.
+/// Messages a worker pulls from the shared run queue.
 enum Task {
     /// Run the given shard: drain its mailbox until idle or yield.
     Run(usize),
@@ -125,9 +133,44 @@ struct ShardCell {
     state: Mutex<ShardState>,
 }
 
+/// The run queue: run tokens of runnable shards, and one `Stop` per worker
+/// at shutdown. Idle workers park on `ready`; every push wakes one.
+#[derive(Default)]
+struct RunQueue {
+    tasks: Mutex<VecDeque<Task>>,
+    ready: Condvar,
+}
+
+impl RunQueue {
+    /// Queue `task` and wake one parked worker.
+    fn push(&self, task: Task) {
+        self.tasks.lock().unwrap_or_else(PoisonError::into_inner).push_back(task);
+        self.ready.notify_one();
+    }
+
+    /// Take the oldest task, parking while the queue is empty. A call that
+    /// finds the queue empty counts one `serve.runtime.parks`, recorded
+    /// once it has a task and has let go of the lock.
+    fn pop(&self) -> Task {
+        let mut tasks = self.tasks.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(task) = tasks.pop_front() {
+            return task;
+        }
+        loop {
+            tasks = self.ready.wait(tasks).unwrap_or_else(PoisonError::into_inner);
+            if let Some(task) = tasks.pop_front() {
+                drop(tasks);
+                pmr_obs::counter_add("serve.runtime.parks", 1);
+                return task;
+            }
+        }
+    }
+}
+
 struct Shared {
     cells: Vec<ShardCell>,
     capacity: usize,
+    run_queue: RunQueue,
     /// Set by a panicking worker before it dies; every cooperative wait
     /// re-checks it so the producer and shutdown fail fast instead of
     /// waiting on a shard whose run token died with the worker.
@@ -135,11 +178,10 @@ struct Shared {
 }
 
 /// A running runtime: accepts posted messages and owns the worker threads
-/// that apply them. Replies flow out through the unbounded channel the
-/// engine passed at start.
+/// that apply them. Replies flow out through the channel the engine passed
+/// at start.
 pub(crate) struct ShardRuntime {
     shared: Arc<Shared>,
-    injector_tx: Sender<Task>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
     panicked: bool,
@@ -170,19 +212,17 @@ impl ShardRuntime {
         let shared = Arc::new(Shared {
             cells,
             capacity: options.queue_capacity,
+            run_queue: RunQueue::default(),
             aborted: AtomicBool::new(false),
         });
-        let (injector_tx, injector_rx) = channel::unbounded();
         let handles = (0..options.workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                let tasks = injector_rx.clone();
-                let injector = injector_tx.clone();
                 let reply = reply_tx.clone();
-                std::thread::spawn(move || worker_loop(worker, &shared, &tasks, &injector, &reply))
+                std::thread::spawn(move || worker_loop(worker, &shared, &reply))
             })
             .collect();
-        ShardRuntime { shared, injector_tx, handles, workers: options.workers, panicked: false }
+        ShardRuntime { shared, handles, workers: options.workers, panicked: false }
     }
 
     /// Logical shard count.
@@ -192,7 +232,8 @@ impl ShardRuntime {
 
     /// Deliver `msg` to `shard`'s FIFO, blocking (with a backpressure
     /// count) while the queue is full. `Err` means the shard can no longer
-    /// accept messages — a worker died or the runtime was shut down.
+    /// accept messages — the runtime was shut down, or a worker died while
+    /// the queue was full.
     pub(crate) fn post(&mut self, shard: usize, msg: ShardMsg) -> Result<(), ()> {
         if self.handles.is_empty() {
             return Err(()); // already shut down
@@ -221,7 +262,7 @@ impl ShardRuntime {
             !std::mem::replace(&mut mb.scheduled, true)
         };
         if schedule {
-            self.injector_tx.send(Task::Run(shard)).map_err(|_| ())?;
+            self.shared.run_queue.push(Task::Run(shard));
         }
         Ok(())
     }
@@ -249,7 +290,7 @@ impl ShardRuntime {
             }
         }
         for _ in 0..self.handles.len() {
-            let _ = self.injector_tx.send(Task::Stop);
+            self.shared.run_queue.push(Task::Stop);
         }
         for handle in self.handles.drain(..) {
             if handle.join().is_err() {
@@ -287,7 +328,7 @@ struct WorkerBuffers {
     scratch: QueryScratch,
 }
 
-/// One worker: pull run tokens off the injector, drain the named shard,
+/// One worker: pull run tokens off the run queue, drain the named shard,
 /// park when nothing is runnable. The worker owns one [`WorkerBuffers`]
 /// and lends it to every shard it runs, so the loop allocates nothing per
 /// turn once the buffers are warm. A panic anywhere in
@@ -295,32 +336,11 @@ struct WorkerBuffers {
 /// waiter, send [`ShardReply::Aborted`] so the engine's snapshot barrier
 /// fails fast instead of waiting forever for a dead shard's reply, then
 /// re-raise so the shutdown join still observes it.
-fn worker_loop(
-    worker: usize,
-    shared: &Shared,
-    tasks: &Receiver<Task>,
-    injector: &Sender<Task>,
-    reply: &Sender<ShardReply>,
-) {
+fn worker_loop(worker: usize, shared: &Shared, reply: &Sender<ShardReply>) {
     let mut buffers = WorkerBuffers::default();
-    loop {
-        let task = match tasks.try_recv() {
-            Ok(task) => task,
-            Err(TryRecvError::Empty) => {
-                pmr_obs::counter_add("serve.runtime.parks", 1);
-                match tasks.recv() {
-                    Ok(task) => task,
-                    Err(_) => return,
-                }
-            }
-            Err(TryRecvError::Disconnected) => return,
-        };
-        let shard = match task {
-            Task::Run(shard) => shard,
-            Task::Stop => return,
-        };
+    while let Task::Run(shard) = shared.run_queue.pop() {
         let turn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_shard(worker, shard, shared, injector, reply, &mut buffers);
+            run_shard(worker, shard, shared, reply, &mut buffers);
         }));
         if let Err(payload) = turn {
             let detail = panic_detail(payload.as_ref());
@@ -338,7 +358,6 @@ fn run_shard(
     worker: usize,
     shard: usize,
     shared: &Shared,
-    injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
     buffers: &mut WorkerBuffers,
 ) {
@@ -388,7 +407,7 @@ fn run_shard(
         }
     }
     pmr_obs::counter_add("serve.runtime.yields", 1);
-    let _ = injector.send(Task::Run(shard));
+    shared.run_queue.push(Task::Run(shard));
 }
 
 /// A worker is dying: set the abort flag, tell the engine, and wake every
@@ -421,5 +440,87 @@ mod tests {
         assert_eq!(shard_bucket(63), 3);
         assert_eq!(shard_bucket(64), 4);
         assert_eq!(shard_bucket(usize::MAX), SHARD_BUCKETS.len() - 1);
+    }
+
+    /// Whether `f` returns within a minute. It runs on its own thread, so a
+    /// hang (a lost wakeup, a shutdown that never quiesces) fails the test
+    /// instead of stalling the suite; a panic in `f` fails it too.
+    fn returns_within_a_minute(f: impl FnOnce() + Send + 'static) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        done_rx.recv_timeout(Duration::from_secs(60)).is_ok()
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_for_every_push() {
+        const ROUNDS: usize = 50_000;
+        assert!(returns_within_a_minute(|| {
+            let queue = Arc::new(RunQueue::default());
+            let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+            let worker = {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    while let Task::Run(round) = queue.pop() {
+                        ack_tx.send(round).expect("the pusher waits for every ack");
+                    }
+                })
+            };
+            // One token at a time: the worker has acked the last one and
+            // found the queue empty, so each push lands on a parked (or
+            // parking) worker.
+            for round in 0..ROUNDS {
+                queue.push(Task::Run(round));
+                assert_eq!(ack_rx.recv(), Ok(round));
+            }
+            queue.push(Task::Stop);
+            worker.join().expect("the worker exits on Stop");
+        }));
+    }
+
+    fn bag_runtime(workers: usize) -> (ShardRuntime, std::sync::mpsc::Receiver<ShardReply>) {
+        let config = EngineConfig {
+            model: crate::config::ServeModel::Bag {
+                weighting: pmr_bag::WeightingScheme::TF,
+                similarity: pmr_bag::BagSimilarity::Cosine,
+                char_grams: false,
+                n: 1,
+                decay: 1.0,
+            },
+            window: 4,
+        };
+        let options =
+            RuntimeOptions { shards: 4, workers, queue_capacity: 4, ..Default::default() };
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let partitions = (0..options.shards).map(|_| BTreeMap::new()).collect();
+        (ShardRuntime::start(config, options, partitions, &reply_tx), reply_rx)
+    }
+
+    #[test]
+    fn shutdown_returns_when_every_worker_is_parked() {
+        assert!(returns_within_a_minute(|| {
+            let (mut runtime, _replies) = bag_runtime(4);
+            // Nothing was posted, so every worker finds the run queue empty
+            // and parks. The pause only makes it likely that all of them
+            // are waiting when the Stops go out; shutdown must return
+            // whatever the interleaving.
+            std::thread::sleep(Duration::from_millis(20));
+            runtime.shutdown();
+            assert!(!runtime.panicked());
+        }));
+    }
+
+    #[test]
+    fn shutdown_returns_after_a_poisoned_shard_aborts() {
+        assert!(returns_within_a_minute(|| {
+            let (mut runtime, replies) = bag_runtime(2);
+            assert!(runtime.post(1, ShardMsg::Poison).is_ok());
+            let abort = replies.recv().expect("the dying worker reports");
+            assert!(matches!(abort, ShardReply::Aborted { shard: 1, .. }), "{abort:?}");
+            runtime.shutdown();
+            assert!(runtime.panicked());
+        }));
     }
 }
