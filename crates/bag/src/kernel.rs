@@ -2,8 +2,8 @@
 //! user model.
 //!
 //! The sweep scores every test document against the *same* user model, so
-//! the per-pair sorted-merge of [`crate::similarity`] repays O(nnz(model))
-//! work per document that depends only on the model. [`ScoringKernel`]
+//! a per-pair sorted merge would repay O(nnz(model)) work per document
+//! that depends only on the model. [`ScoringKernel`]
 //! hoists that work to expansion time — a dense weight accumulator over
 //! the model's dimensions, its Euclidean norm, and its positive support
 //! size — and then scores each document in O(nnz(doc)) lookups for cosine
@@ -19,9 +19,9 @@
 //! keeps a two-pointer merge — but over model weights pre-clamped to
 //! `max(w, 0)` and pre-widened to f64 once, rather than per pair.
 //!
-//! Every path reproduces [`BagSimilarity::compare`] bit-for-bit (the
-//! property tests below assert exactly that); the merge-join remains in
-//! [`crate::similarity`] as the reference implementation.
+//! Every path reproduces the sorted-merge definition bit-for-bit: the
+//! property tests below compare it with the merge-join similarities kept
+//! as a test reference in `reference.rs`.
 
 use pmr_text::vocab::TermId;
 
@@ -124,13 +124,14 @@ impl ScoringKernel {
         self.positive_support
     }
 
-    /// Score a document against the pre-expanded model. Bit-identical to
-    /// `self.similarity().compare(model, doc)`.
+    /// Score a document against the pre-expanded model under
+    /// [`ScoringKernel::similarity`]. Bit-identical to the merge-join test
+    /// reference.
     pub fn score(&self, doc: &SparseVector) -> f64 {
         match self.similarity {
-            BagSimilarity::Cosine => self.cosine(doc),
-            BagSimilarity::Jaccard => self.jaccard(doc),
-            BagSimilarity::GeneralizedJaccard => self.generalized_jaccard(doc),
+            BagSimilarity::Cosine => self.score_cosine(doc),
+            BagSimilarity::Jaccard => self.score_jaccard(doc),
+            BagSimilarity::GeneralizedJaccard => self.score_gjs(doc),
         }
     }
 
@@ -138,7 +139,7 @@ impl ScoringKernel {
     /// common dimensions in sorted order; so does this loop, because doc
     /// entries are sorted and absent model dimensions read 0.0 and are
     /// skipped — identical f32 accumulation order, identical bits.
-    fn cosine(&self, doc: &SparseVector) -> f64 {
+    fn score_cosine(&self, doc: &SparseVector) -> f64 {
         let nb = doc.norm();
         if self.norm == 0.0 || nb == 0.0 {
             return 0.0;
@@ -155,7 +156,7 @@ impl ScoringKernel {
 
     /// Set Jaccard from the document side: integer counting only, so the
     /// union size `|model⁺| + |doc⁺| − |model⁺ ∩ doc⁺|` is exact.
-    fn jaccard(&self, doc: &SparseVector) -> f64 {
+    fn score_jaccard(&self, doc: &SparseVector) -> f64 {
         let mut positive_doc = 0usize;
         let mut intersection = 0usize;
         for &(d, wd) in doc.entries() {
@@ -176,7 +177,7 @@ impl ScoringKernel {
 
     /// Generalized Jaccard over the pre-clamped model (see module docs for
     /// why this one keeps the merge).
-    fn generalized_jaccard(&self, doc: &SparseVector) -> f64 {
+    fn score_gjs(&self, doc: &SparseVector) -> f64 {
         let a = &self.clamped;
         let b = doc.entries();
         let (mut i, mut j) = (0usize, 0usize);

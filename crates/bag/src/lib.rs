@@ -17,11 +17,13 @@
 //! of §4 (JS only with BF, GJS only with TF/TF-IDF, BF only with sum,
 //! Rocchio only with cosine; CN is never combined with TF-IDF).
 //!
-//! Two hot-path variants back the sweep harness without changing any
-//! result bit: [`weighting::IndexedVectorizer`] fits over pre-interned
-//! gram ids instead of strings, and [`kernel::ScoringKernel`] pre-expands
-//! a user model once and scores each document in O(nnz(doc)) for cosine
-//! and Jaccard (the merge-join in [`similarity`] stays as the reference).
+//! Every sweep, serving and benchmark path vectorizes with
+//! [`weighting::IndexedVectorizer`], which fits over pre-interned gram ids
+//! instead of strings, and scores with [`kernel::ScoringKernel`], which
+//! pre-expands a user model once and scores each document in O(nnz(doc))
+//! for cosine and Jaccard. The string-keyed vectorizer and the merge-join
+//! similarities they replaced are test references: the tests assert that
+//! both paths agree bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -36,4 +38,7 @@ pub use aggregate::{AggregationFunction, RocchioParams};
 pub use kernel::ScoringKernel;
 pub use similarity::BagSimilarity;
 pub use vector::SparseVector;
-pub use weighting::{BagVectorizer, IndexedVectorizer, WeightingScheme};
+pub use weighting::{IndexedVectorizer, WeightingScheme};
+
+#[cfg(test)]
+mod reference;

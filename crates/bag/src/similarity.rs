@@ -5,10 +5,12 @@
 //!   the paper applies it only to BF-weighted vectors;
 //! * **GJS** — generalized Jaccard `Σ min(w_a, w_b) / Σ max(w_a, w_b)`;
 //!   applied only to TF/TF-IDF vectors. For BF weights GJS reduces to JS.
+//!   Negative weights (possible under Rocchio, which the paper never pairs
+//!   with GJS) are clamped to zero.
+//!
+//! [`crate::kernel::ScoringKernel`] computes all three.
 
 use serde::{Deserialize, Serialize};
-
-use crate::vector::SparseVector;
 
 /// The three bag similarity measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,127 +32,44 @@ impl BagSimilarity {
             BagSimilarity::GeneralizedJaccard => "GJS",
         }
     }
-
-    /// Similarity between two vectors.
-    pub fn compare(self, a: &SparseVector, b: &SparseVector) -> f64 {
-        match self {
-            BagSimilarity::Cosine => cosine(a, b),
-            BagSimilarity::Jaccard => jaccard(a, b),
-            BagSimilarity::GeneralizedJaccard => generalized_jaccard(a, b),
-        }
-    }
-}
-
-/// Cosine similarity; 0 when either vector is zero.
-pub fn cosine(a: &SparseVector, b: &SparseVector) -> f64 {
-    let na = a.norm();
-    let nb = b.norm();
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (a.dot(b) / (na * nb)) as f64
-}
-
-/// Set Jaccard over the positive supports.
-pub fn jaccard(a: &SparseVector, b: &SparseVector) -> f64 {
-    let mut intersection = 0usize;
-    let mut union = 0usize;
-    merge(a, b, |wa, wb| {
-        let pa = wa > 0.0;
-        let pb = wb > 0.0;
-        if pa || pb {
-            union += 1;
-        }
-        if pa && pb {
-            intersection += 1;
-        }
-    });
-    if union == 0 {
-        0.0
-    } else {
-        intersection as f64 / union as f64
-    }
-}
-
-/// Generalized Jaccard `Σ min / Σ max`. Defined for non-negative weights;
-/// negative weights (possible under Rocchio, which the paper never pairs
-/// with GJS) are clamped to zero.
-pub fn generalized_jaccard(a: &SparseVector, b: &SparseVector) -> f64 {
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    merge(a, b, |wa, wb| {
-        let wa = wa.max(0.0) as f64;
-        let wb = wb.max(0.0) as f64;
-        num += wa.min(wb);
-        den += wa.max(wb);
-    });
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// Iterate over the union of dimensions, feeding `(w_a, w_b)` (0 when
-/// absent) to the visitor.
-fn merge<F: FnMut(f32, f32)>(a: &SparseVector, b: &SparseVector, mut visit: F) {
-    let (ea, eb) = (a.entries(), b.entries());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ea.len() || j < eb.len() {
-        match (ea.get(i), eb.get(j)) {
-            (Some(&(da, wa)), Some(&(db, wb))) => match da.cmp(&db) {
-                std::cmp::Ordering::Less => {
-                    visit(wa, 0.0);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    visit(0.0, wb);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    visit(wa, wb);
-                    i += 1;
-                    j += 1;
-                }
-            },
-            (Some(&(_, wa)), None) => {
-                visit(wa, 0.0);
-                i += 1;
-            }
-            (None, Some(&(_, wb))) => {
-                visit(0.0, wb);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition guards this"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ScoringKernel;
+    use crate::vector::SparseVector;
+
+    pub(super) const ALL: [BagSimilarity; 3] =
+        [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard];
 
     fn v(pairs: &[(u32, f32)]) -> SparseVector {
         SparseVector::from_pairs(pairs.to_vec())
     }
 
+    /// `similarity` of `a` and `b` on the production path: a kernel
+    /// expanded from `a` scores `b`.
+    pub(super) fn score(similarity: BagSimilarity, a: &SparseVector, b: &SparseVector) -> f64 {
+        ScoringKernel::new(similarity, a).score(b)
+    }
+
     #[test]
     fn cosine_identical_is_one() {
         let a = v(&[(0, 1.0), (1, 2.0)]);
-        assert!((cosine(&a, &a) - 1.0).abs() < 1e-6);
+        assert!((score(BagSimilarity::Cosine, &a, &a) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn cosine_orthogonal_is_zero() {
-        assert_eq!(cosine(&v(&[(0, 1.0)]), &v(&[(1, 1.0)])), 0.0);
-        assert_eq!(cosine(&v(&[]), &v(&[(1, 1.0)])), 0.0);
+        assert_eq!(score(BagSimilarity::Cosine, &v(&[(0, 1.0)]), &v(&[(1, 1.0)])), 0.0);
+        assert_eq!(score(BagSimilarity::Cosine, &v(&[]), &v(&[(1, 1.0)])), 0.0);
     }
 
     #[test]
     fn jaccard_counts_supports() {
         let a = v(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
         let b = v(&[(1, 1.0), (2, 1.0), (3, 1.0)]);
-        assert!((jaccard(&a, &b) - 0.5).abs() < 1e-9); // 2 / 4
+        assert!((score(BagSimilarity::Jaccard, &a, &b) - 0.5).abs() < 1e-9); // 2 / 4
     }
 
     #[test]
@@ -159,29 +78,29 @@ mod tests {
         let b = v(&[(0, 1.0), (1, 1.0)]);
         // Dim 1 is "absent" in a (weight ≤ 0), so intersection = {0},
         // union = {0, 1}.
-        assert!((jaccard(&a, &b) - 0.5).abs() < 1e-9);
+        assert!((score(BagSimilarity::Jaccard, &a, &b) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn gjs_equals_js_for_binary_weights() {
         let a = v(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
         let b = v(&[(1, 1.0), (2, 1.0), (3, 1.0)]);
-        assert!((generalized_jaccard(&a, &b) - jaccard(&a, &b)).abs() < 1e-9);
+        let gjs = score(BagSimilarity::GeneralizedJaccard, &a, &b);
+        assert!((gjs - score(BagSimilarity::Jaccard, &a, &b)).abs() < 1e-9);
     }
 
     #[test]
     fn gjs_weighs_magnitudes() {
         let a = v(&[(0, 2.0)]);
         let b = v(&[(0, 1.0)]);
-        assert!((generalized_jaccard(&a, &b) - 0.5).abs() < 1e-9);
+        assert!((score(BagSimilarity::GeneralizedJaccard, &a, &b) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_vectors_yield_zero_everywhere() {
         let e = v(&[]);
-        for s in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard]
-        {
-            assert_eq!(s.compare(&e, &e), 0.0);
+        for s in ALL {
+            assert_eq!(score(s, &e, &e), 0.0);
         }
     }
 
@@ -195,7 +114,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
+    use super::tests::{score, ALL};
+    use crate::vector::SparseVector;
     use proptest::prelude::*;
 
     fn arb_vec() -> impl Strategy<Value = SparseVector> {
@@ -206,15 +126,15 @@ mod proptests {
     proptest! {
         #[test]
         fn similarities_are_symmetric(a in arb_vec(), b in arb_vec()) {
-            for s in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard] {
-                prop_assert!((s.compare(&a, &b) - s.compare(&b, &a)).abs() < 1e-6);
+            for s in ALL {
+                prop_assert!((score(s, &a, &b) - score(s, &b, &a)).abs() < 1e-6);
             }
         }
 
         #[test]
         fn similarities_are_bounded(a in arb_vec(), b in arb_vec()) {
-            for s in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard] {
-                let x = s.compare(&a, &b);
+            for s in ALL {
+                let x = score(s, &a, &b);
                 prop_assert!((-1e-6..=1.0 + 1e-6).contains(&x), "{x}");
             }
         }
@@ -222,8 +142,8 @@ mod proptests {
         #[test]
         fn self_similarity_is_maximal(a in arb_vec()) {
             prop_assume!(!a.is_empty());
-            for s in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard] {
-                prop_assert!((s.compare(&a, &a) - 1.0).abs() < 1e-5);
+            for s in ALL {
+                prop_assert!((score(s, &a, &a) - 1.0).abs() < 1e-5);
             }
         }
     }

@@ -60,25 +60,6 @@ impl SparseVector {
         self.entries.iter().map(|&(_, w)| w * w).sum::<f32>().sqrt()
     }
 
-    /// Dot product with another sparse vector (two-pointer merge).
-    pub fn dot(&self, other: &SparseVector) -> f32 {
-        let mut acc = 0.0f32;
-        let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.entries, &other.entries);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += a[i].1 * b[j].1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc
-    }
-
     /// In-place scaling.
     pub fn scale(&mut self, factor: f32) {
         if factor == 0.0 {

@@ -6,16 +6,16 @@
 //! * **TF** — term frequency: occurrences normalized by document length;
 //! * **TF-IDF** — TF discounted by `idf(t) = log(|D| / (df(t) + 1))`.
 //!
-//! A [`BagVectorizer`] is fitted once on the training corpus of a
-//! representation source (interning the n-gram dimensions and counting
+//! An [`IndexedVectorizer`] is fitted once on the training corpus of a
+//! representation source (assigning the n-gram dimensions and counting
 //! document frequencies) and then transforms any document — training or
 //! testing — into a [`SparseVector`] over the fitted dimensions; n-grams
 //! unseen at fit time are dropped, exactly as in a trained vector-space
-//! model.
+//! model. Documents arrive as gram ids interned by a shared gram table.
 
 use serde::{Deserialize, Serialize};
 
-use pmr_text::vocab::{LocalIds, TermId, Vocabulary};
+use pmr_text::vocab::{LocalIds, TermId};
 
 use crate::vector::SparseVector;
 
@@ -41,106 +41,14 @@ impl WeightingScheme {
     }
 }
 
-/// A corpus-fitted vectorizer for one bag model instantiation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BagVectorizer {
-    weighting: WeightingScheme,
-    vocab: Vocabulary,
-    /// Document frequency per dimension.
-    df: Vec<u32>,
-    /// Number of fitted documents `|D|`.
-    num_docs: usize,
-}
-
-impl BagVectorizer {
-    /// Fit on the training documents of a representation source. Each
-    /// document is its extracted n-gram list (token or character n-grams;
-    /// the vectorizer is agnostic).
-    pub fn fit<D, S>(weighting: WeightingScheme, docs: D) -> Self
-    where
-        D: IntoIterator,
-        D::Item: AsRef<[S]>,
-        S: AsRef<str>,
-    {
-        let mut vocab = Vocabulary::new();
-        let mut df: Vec<u32> = Vec::new();
-        let mut num_docs = 0usize;
-        let mut seen_in_doc: Vec<usize> = Vec::new(); // doc-stamp per dim
-        for doc in docs {
-            num_docs += 1;
-            for gram in doc.as_ref() {
-                let id = vocab.add(gram.as_ref());
-                if id as usize >= df.len() {
-                    df.push(0);
-                    seen_in_doc.push(0);
-                }
-                if seen_in_doc[id as usize] != num_docs {
-                    seen_in_doc[id as usize] = num_docs;
-                    df[id as usize] += 1;
-                }
-            }
-        }
-        BagVectorizer { weighting, vocab, df, num_docs }
-    }
-
-    /// The fitted weighting scheme.
-    pub fn weighting(&self) -> WeightingScheme {
-        self.weighting
-    }
-
-    /// Number of fitted dimensions (distinct n-grams).
-    pub fn dimensionality(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// Number of fitted documents.
-    pub fn num_docs(&self) -> usize {
-        self.num_docs
-    }
-
-    /// The inverse document frequency of a fitted dimension.
-    pub fn idf(&self, id: TermId) -> f32 {
-        ((self.num_docs as f64) / (self.df[id as usize] as f64 + 1.0)).ln() as f32
-    }
-
-    /// Transform a document (its n-gram list) into a sparse vector under the
-    /// fitted vocabulary; unseen n-grams are dropped.
-    pub fn transform<S: AsRef<str>>(&self, grams: &[S]) -> SparseVector {
-        let n_d = grams.len();
-        if n_d == 0 {
-            return SparseVector::new();
-        }
-        // Occurrence counts over fitted dimensions.
-        let mut counts: std::collections::HashMap<TermId, u32> = std::collections::HashMap::new();
-        for g in grams {
-            if let Some(id) = self.vocab.get(g.as_ref()) {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let pairs: Vec<(TermId, f32)> = counts
-            .into_iter()
-            .map(|(id, f)| {
-                let w = match self.weighting {
-                    WeightingScheme::BF => 1.0,
-                    WeightingScheme::TF => f as f32 / n_d as f32,
-                    WeightingScheme::TFIDF => (f as f32 / n_d as f32) * self.idf(id),
-                };
-                (id, w)
-            })
-            .collect();
-        SparseVector::from_pairs(pairs)
-    }
-}
-
 /// A corpus-fitted vectorizer over *pre-interned* gram ids.
 ///
-/// Functionally identical to [`BagVectorizer`], but fitted on documents
-/// that are already sequences of global `TermId`s (from a shared gram
-/// table) instead of strings. Fitting assigns dense *local* ids in
-/// first-seen order over the documents — exactly the order a string
-/// interner walking the same documents would produce — so the resulting
-/// vectors are bit-for-bit identical to [`BagVectorizer`]'s while skipping
-/// every string hash, comparison and allocation on the sweep's hot path.
+/// Documents are sequences of global `TermId`s from a shared gram table,
+/// not strings. Fitting assigns dense *local* ids in first-seen order over
+/// the documents — exactly the order a string interner walking the same
+/// documents would produce — so the vectors are bit-for-bit those of a
+/// string-keyed vectorizer (the test reference in `reference.rs`) while
+/// no string is hashed, compared or allocated on the sweep's hot path.
 #[derive(Debug, Clone)]
 pub struct IndexedVectorizer {
     weighting: WeightingScheme,
@@ -205,8 +113,9 @@ impl IndexedVectorizer {
     ///
     /// Occurrences are counted by sorting the document's local ids and
     /// run-length encoding — no hashing. The counts (and hence weights)
-    /// are identical to the hash-counted string path; only the order in
-    /// which pairs reach the final sort differs, and that order is erased.
+    /// are identical to the hash-counted string reference; only the order
+    /// in which pairs reach the final sort differs, and that order is
+    /// erased.
     pub fn transform(&self, grams: &[TermId]) -> SparseVector {
         let n_d = grams.len();
         if n_d == 0 {
@@ -258,41 +167,57 @@ pub fn weigh(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::BagVectorizer;
+    use pmr_text::vocab::Vocabulary;
 
     fn docs() -> Vec<Vec<String>> {
         let d = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
         vec![d("a b a c"), d("b c"), d("a a a a")]
     }
 
+    /// Intern string docs through a shared global vocabulary, the way the
+    /// sweep's feature cache does.
+    fn interned(vocab: &mut Vocabulary, docs: &[Vec<String>]) -> Vec<Vec<TermId>> {
+        docs.iter().map(|d| d.iter().map(|g| vocab.intern(g)).collect()).collect()
+    }
+
+    /// The fitted dimension of `gram`.
+    fn dim(v: &IndexedVectorizer, vocab: &Vocabulary, gram: &str) -> TermId {
+        v.local.get(vocab.get(gram).expect("interned")).expect("fitted")
+    }
+
+    /// `text`'s whitespace tokens as global ids; tokens not yet in `vocab`
+    /// get fresh ids, which no vectorizer fitted earlier has seen.
+    fn doc(vocab: &mut Vocabulary, text: &str) -> Vec<TermId> {
+        text.split_whitespace().map(|g| vocab.intern(g)).collect()
+    }
+
     #[test]
     fn fit_counts_document_frequencies() {
-        let v = BagVectorizer::fit(WeightingScheme::TF, docs());
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::TF, interned(&mut vocab, &docs()));
         assert_eq!(v.dimensionality(), 3);
         assert_eq!(v.num_docs(), 3);
-        let a = v.vocab.get("a").unwrap();
-        let b = v.vocab.get("b").unwrap();
-        let c = v.vocab.get("c").unwrap();
-        assert_eq!(v.df[a as usize], 2);
-        assert_eq!(v.df[b as usize], 2);
-        assert_eq!(v.df[c as usize], 2);
+        for gram in ["a", "b", "c"] {
+            assert_eq!(v.df[dim(&v, &vocab, gram) as usize], 2, "{gram}");
+        }
     }
 
     #[test]
     fn bf_weights_are_binary() {
-        let v = BagVectorizer::fit(WeightingScheme::BF, docs());
-        let x = v.transform(&["a", "a", "b"]);
-        let a = v.vocab.get("a").unwrap();
-        let b = v.vocab.get("b").unwrap();
-        assert_eq!(x.get(a), 1.0);
-        assert_eq!(x.get(b), 1.0);
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::BF, interned(&mut vocab, &docs()));
+        let x = v.transform(&doc(&mut vocab, "a a b"));
+        assert_eq!(x.get(dim(&v, &vocab, "a")), 1.0);
+        assert_eq!(x.get(dim(&v, &vocab, "b")), 1.0);
     }
 
     #[test]
     fn tf_weights_are_length_normalized() {
-        let v = BagVectorizer::fit(WeightingScheme::TF, docs());
-        let x = v.transform(&["a", "a", "b", "c"]);
-        let a = v.vocab.get("a").unwrap();
-        assert!((x.get(a) - 0.5).abs() < 1e-6);
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::TF, interned(&mut vocab, &docs()));
+        let x = v.transform(&doc(&mut vocab, "a a b c"));
+        assert!((x.get(dim(&v, &vocab, "a")) - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -300,10 +225,11 @@ mod tests {
         // "x" appears in every document, "y" in one.
         let d = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
         let corpus = vec![d("x y"), d("x"), d("x"), d("x")];
-        let v = BagVectorizer::fit(WeightingScheme::TFIDF, corpus);
-        let x = v.transform(&["x", "y"]);
-        let idx = v.vocab.get("x").unwrap();
-        let idy = v.vocab.get("y").unwrap();
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::TFIDF, interned(&mut vocab, &corpus));
+        let x = v.transform(&doc(&mut vocab, "x y"));
+        let idx = dim(&v, &vocab, "x");
+        let idy = dim(&v, &vocab, "y");
         assert!(
             x.get(idy) > x.get(idx),
             "rare gram must outweigh ubiquitous one: {} vs {}",
@@ -318,15 +244,16 @@ mod tests {
 
     #[test]
     fn unseen_grams_are_dropped() {
-        let v = BagVectorizer::fit(WeightingScheme::TF, docs());
-        let x = v.transform(&["zzz", "qqq"]);
-        assert!(x.is_empty());
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::TF, interned(&mut vocab, &docs()));
+        assert!(v.transform(&doc(&mut vocab, "zzz qqq")).is_empty());
     }
 
     #[test]
     fn empty_document_transforms_to_empty_vector() {
-        let v = BagVectorizer::fit(WeightingScheme::TF, docs());
-        assert!(v.transform::<String>(&[]).is_empty());
+        let mut vocab = Vocabulary::new();
+        let v = IndexedVectorizer::fit(WeightingScheme::TF, interned(&mut vocab, &docs()));
+        assert!(v.transform(&[]).is_empty());
     }
 
     #[test]
@@ -336,17 +263,10 @@ mod tests {
         assert_eq!(WeightingScheme::TFIDF.name(), "TF-IDF");
     }
 
-    /// Intern string docs through a shared global vocabulary, the way the
-    /// sweep's feature cache does.
-    fn interned(docs: &[Vec<String>]) -> Vec<Vec<TermId>> {
-        let mut vocab = Vocabulary::new();
-        docs.iter().map(|d| d.iter().map(|g| vocab.intern(g)).collect()).collect()
-    }
-
     #[test]
     fn indexed_vectorizer_matches_string_vectorizer_bitwise() {
         let string_docs = docs();
-        let id_docs = interned(&string_docs);
+        let id_docs = interned(&mut Vocabulary::new(), &string_docs);
         for weighting in [WeightingScheme::BF, WeightingScheme::TF, WeightingScheme::TFIDF] {
             let by_string = BagVectorizer::fit(weighting, string_docs.iter());
             let by_id = IndexedVectorizer::fit(weighting, id_docs.iter());
@@ -370,7 +290,7 @@ mod tests {
 
     #[test]
     fn indexed_vectorizer_drops_unseen_global_ids() {
-        let id_docs = interned(&docs());
+        let id_docs = interned(&mut Vocabulary::new(), &docs());
         let v = IndexedVectorizer::fit(WeightingScheme::TF, id_docs.iter());
         assert!(v.transform(&[900, 901]).is_empty());
         assert!(v.transform(&[]).is_empty());
@@ -380,6 +300,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::reference::BagVectorizer;
+    use pmr_text::vocab::Vocabulary;
     use proptest::prelude::*;
 
     /// Documents over a small alphabet so collisions (shared grams across

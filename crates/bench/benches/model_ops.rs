@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pmr_bag::{BagSimilarity, BagVectorizer, WeightingScheme};
+use pmr_bag::{BagSimilarity, IndexedVectorizer, ScoringKernel, WeightingScheme};
 use pmr_graph::{GraphSimilarity, NGramGraph};
 use pmr_text::vocab::{TermId, Vocabulary};
 use pmr_text::{char_ngrams, token_ngrams, Tokenizer};
@@ -56,17 +56,19 @@ fn bench_ngrams(c: &mut Criterion) {
 
 fn bench_bag(c: &mut Criterion) {
     let texts = sample_texts(150);
-    let docs: Vec<Vec<String>> =
-        texts.iter().map(|t| t.split_whitespace().map(str::to_owned).collect()).collect();
+    let mut space = Vocabulary::new();
+    let docs: Vec<Vec<TermId>> =
+        texts.iter().map(|t| t.split_whitespace().map(|w| space.intern(w)).collect()).collect();
     c.bench_function("bag_fit_150_docs", |b| {
-        b.iter(|| BagVectorizer::fit(WeightingScheme::TFIDF, docs.iter()))
+        b.iter(|| IndexedVectorizer::fit(WeightingScheme::TFIDF, docs.iter()))
     });
-    let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, docs.iter());
+    let vectorizer = IndexedVectorizer::fit(WeightingScheme::TFIDF, docs.iter());
     let va = vectorizer.transform(&docs[0]);
     let vb = vectorizer.transform(&docs[1]);
     let mut group = c.benchmark_group("bag_similarity");
     for sim in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard] {
-        group.bench_function(sim.name(), |b| b.iter(|| sim.compare(&va, &vb)));
+        let kernel = ScoringKernel::new(sim, &va);
+        group.bench_function(sim.name(), |b| b.iter(|| kernel.score(&vb)));
     }
     group.finish();
 }

@@ -449,12 +449,6 @@ impl ConfigGrid {
         out
     }
 
-    /// Build a grid from an explicit configuration list (ad-hoc sweeps and
-    /// ablations).
-    pub fn from_configs(configs: Vec<ModelConfiguration>) -> Self {
-        ConfigGrid { configs }
-    }
-
     /// All configurations.
     pub fn configs(&self) -> &[ModelConfiguration] {
         &self.configs

@@ -113,7 +113,9 @@ impl OnlineGraphModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmr_bag::{AggregationFunction, BagSimilarity, IndexedVectorizer, WeightingScheme};
+    use pmr_bag::{
+        AggregationFunction, BagSimilarity, IndexedVectorizer, ScoringKernel, WeightingScheme,
+    };
     use pmr_text::vocab::{TermId, Vocabulary};
 
     /// The serving path's bag model: a profile fed unit vectors over one
@@ -131,7 +133,7 @@ mod tests {
         }
 
         pub(super) fn score(&self, doc: &[TermId]) -> f64 {
-            let kernel = pmr_bag::ScoringKernel::new(self.similarity, self.profile.vector());
+            let kernel = ScoringKernel::new(self.similarity, self.profile.vector());
             kernel.score(&self.vectorizer.transform(doc).normalized())
         }
     }
@@ -168,8 +170,8 @@ mod tests {
         // by |D| — a scale factor cosine ignores.
         let probe = ids(&mut vocab, "cats purr");
         let online_score = online.score(&probe);
-        let batch_score =
-            BagSimilarity::Cosine.compare(&batch, &online.vectorizer.transform(&probe));
+        let batch_score = ScoringKernel::new(BagSimilarity::Cosine, &batch)
+            .score(&online.vectorizer.transform(&probe));
         assert!((online_score - batch_score).abs() < 1e-6);
     }
 
@@ -265,7 +267,7 @@ mod tests {
 mod proptests {
     use super::tests::{ids, served};
     use super::*;
-    use pmr_bag::{AggregationFunction, BagSimilarity};
+    use pmr_bag::{AggregationFunction, BagSimilarity, ScoringKernel};
     use pmr_text::vocab::{TermId, Vocabulary};
     use proptest::prelude::*;
 
@@ -297,12 +299,10 @@ mod proptests {
                 train.iter().map(|d| vectorizer.transform(d)).collect();
             let batch = AggregationFunction::Centroid.aggregate(&vectors, &[]);
             let online_scores: Vec<f64> = probes.iter().map(|p| online.score(p)).collect();
+            let batch_kernel = ScoringKernel::new(BagSimilarity::Cosine, &batch);
             let batch_scores: Vec<f64> = probes
                 .iter()
-                .map(|p| {
-                    BagSimilarity::Cosine
-                        .compare(&batch, &vectorizer.transform(p).normalized())
-                })
+                .map(|p| batch_kernel.score(&vectorizer.transform(p).normalized()))
                 .collect();
             for (o, b) in online_scores.iter().zip(&batch_scores) {
                 prop_assert!((o - b).abs() < 1e-6, "scores diverge: online {o}, batch {b}");

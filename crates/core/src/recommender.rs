@@ -404,7 +404,7 @@ where
             .test_docs()
             .into_iter()
             .map(|id| ScoredDoc {
-                score: dense_cosine(&user_model, &thetas[theta_of[&id]]),
+                score: pmr_topics::model::cosine(&user_model, &thetas[theta_of[&id]]),
                 relevant: user_split.is_positive(id),
                 tie_break: crate::eval::tie_break_key(id.0),
             })
@@ -441,23 +441,6 @@ fn dense_rocchio(pos: &[&[f32]], neg: &[&[f32]], k: usize) -> Vec<f32> {
     p.iter().zip(&n).map(|(a, b)| 0.8 * a - 0.2 * b).collect()
 }
 
-/// Cosine similarity of dense vectors (0 when either is zero).
-fn dense_cosine(a: &[f32], b: &[f32]) -> f64 {
-    let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x as f64 * y as f64;
-        na += x as f64 * x as f64;
-        nb += y as f64 * y as f64;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,9 +470,10 @@ mod tests {
 
     #[test]
     fn dense_cosine_basics() {
-        assert!((dense_cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-9);
-        assert_eq!(dense_cosine(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
-        assert_eq!(dense_cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
+        use pmr_topics::model::cosine;
+        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-9);
+        assert_eq!(cosine(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
+        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
     }
 
     /// Per-user scoring and θ inference map over their items with

@@ -58,15 +58,6 @@ impl RepresentationSource {
         RepresentationSource::EF,
     ];
 
-    /// The five atomic sources.
-    pub const ATOMIC: [RepresentationSource; 5] = [
-        RepresentationSource::R,
-        RepresentationSource::T,
-        RepresentationSource::E,
-        RepresentationSource::F,
-        RepresentationSource::C,
-    ];
-
     /// The eight sources of the effectiveness figures (Figures 3–6): the
     /// five atomic sources plus the three best-performing pairs.
     pub const FIGURES: [RepresentationSource; 8] = [

@@ -15,7 +15,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
 /// A single typed field value of a journal event.
@@ -63,7 +63,6 @@ impl From<String> for Field {
 /// are never interleaved, even under a parallel sweep.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     out: Mutex<BufWriter<File>>,
 }
 
@@ -76,12 +75,7 @@ impl Journal {
             }
         }
         let file = File::create(path)?;
-        Ok(Journal { path: path.to_owned(), out: Mutex::new(BufWriter::new(file)) })
-    }
-
-    /// Where the journal is being written.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(Journal { out: Mutex::new(BufWriter::new(file)) })
     }
 
     /// Append one event line. I/O errors are swallowed: the journal is a
@@ -154,6 +148,7 @@ fn push_escaped(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pmr_obs_journal_{tag}_{}.jsonl", std::process::id()))

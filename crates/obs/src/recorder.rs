@@ -52,11 +52,6 @@ impl Recorder {
         &self.metrics
     }
 
-    /// The journal path, when journaling is on.
-    pub fn journal_path(&self) -> Option<&std::path::Path> {
-        self.journal.as_ref().map(Journal::path)
-    }
-
     /// Emit a journal event stamped "now" (no-op without a journal).
     pub fn event(&self, kind: &str, name: &str, fields: &[(&str, Field)]) {
         if let Some(journal) = &self.journal {

@@ -306,11 +306,6 @@ impl StreamGenerator {
         gen
     }
 
-    /// Total population.
-    pub fn num_users(&self) -> usize {
-        self.cfg.users
-    }
-
     /// Ids of the users carrying band activity plans.
     pub fn evaluated_user_ids(&self) -> impl Iterator<Item = UserId> + '_ {
         (0..self.cfg.evaluated_users as u32).map(UserId)

@@ -130,8 +130,8 @@ impl LdaModel {
     }
 }
 
-/// The topic–word side of the LDA-family samplers (LDA, Labeled LDA,
-/// ATM): word-major counts `n_wk`, topic totals `n_k` and each topic's
+/// The topic–word side of the LDA-family samplers (LDA and Labeled LDA):
+/// word-major counts `n_wk`, topic totals `n_k` and each topic's
 /// denominator `n_k + Vβ`. A draw changes the denominator of its old and
 /// new topic only, so only those two are recomputed.
 #[derive(Debug)]
@@ -172,7 +172,7 @@ impl WordCounts {
 
     /// The collapsed Gibbs weight of word `w` under every topic `t`,
     /// `(mix_t + α) · (n_wt + β) / (n_t + Vβ)`, into `out`. `mix` holds the
-    /// document's (LDA) or the author's (ATM) topic counts.
+    /// document's topic counts.
     pub(crate) fn weights(&self, w: TermId, mix: &[u32], alpha: f64, out: &mut [f64]) {
         let row = self.n_wk.row(w as usize);
         for (((wt, &c_m), &c_w), &den) in out.iter_mut().zip(mix).zip(row).zip(&self.denom) {
@@ -226,8 +226,8 @@ pub(crate) fn estimate_theta(n_dk: &[u32], doc_len: usize, alpha: f64) -> Vec<f3
     theta
 }
 
-/// Shared fold-in Gibbs inference over a fixed φ: used by LDA, LLDA, ATM
-/// and HDP document inference. `alpha(t)` is topic `t`'s prior mass.
+/// Shared fold-in Gibbs inference over a fixed φ: used by LDA, LLDA and
+/// HDP document inference. `alpha(t)` is topic `t`'s prior mass.
 pub(crate) fn fold_in(
     phi: &WordTopic<f32>,
     alpha: impl Fn(usize) -> f64,

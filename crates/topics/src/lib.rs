@@ -29,11 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod atm;
 pub mod btm;
-pub mod coherence;
 pub mod corpus;
-pub mod dmm;
 pub mod hdp;
 pub mod hlda;
 pub mod label;
@@ -44,11 +41,8 @@ pub mod online;
 pub mod plsa;
 pub mod pooling;
 
-pub use atm::{AtmConfig, AtmModel};
 pub use btm::{BtmConfig, BtmModel};
-pub use coherence::{mean_coherence, umass_coherence};
 pub use corpus::TopicCorpus;
-pub use dmm::{DmmConfig, DmmModel};
 pub use hdp::{HdpConfig, HdpModel};
 pub use hlda::{HldaConfig, HldaModel};
 pub use label::{LabelId, Labeler};

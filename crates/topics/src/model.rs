@@ -101,6 +101,26 @@ impl<T: Deserialize> Deserialize for WordTopic<T> {
     }
 }
 
+/// Cosine similarity of two dense topic distributions, accumulated in f64
+/// so the result is independent of summation grouping; 0 when either side
+/// is all-zero. Entries past the shorter slice's end are ignored. Batch
+/// user models and online profiles both score θ with this function.
+pub fn cosine(a: &[f32], b: &[f32]) -> f64 {
+    let mut dot = 0.0f64;
+    let mut na = 0.0f64;
+    let mut nb = 0.0f64;
+    for (&x, &y) in a.iter().zip(b) {
+        dot += x as f64 * y as f64;
+        na += x as f64 * x as f64;
+        nb += y as f64 * y as f64;
+    }
+    if na == 0.0 || nb == 0.0 {
+        0.0
+    } else {
+        dot / (na.sqrt() * nb.sqrt())
+    }
+}
+
 /// One fold-in Gibbs sweep over `doc` against a frozen φ: each token's
 /// topic `z[i]` is redrawn with weights `(n_dk + α_t) · φ[w][t]`, where
 /// `alpha(t)` is topic `t`'s prior mass. A word outside φ's vocabulary

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use pmr_text::vocab::TermId;
 
-use crate::model::{fold_in_sweep, normalize, uniform, WordTopic};
+use crate::model::{cosine, fold_in_sweep, normalize, uniform, WordTopic};
 
 /// Seed-stream label for background training draws.
 const S_TRAIN: u64 = 1;
@@ -355,23 +355,10 @@ impl TopicProfile {
         self.documents += 1;
     }
 
-    /// Cosine similarity between the profile and a candidate's `θ`,
-    /// accumulated in f64 so the result is independent of summation
-    /// grouping. 0 when either side is all-zero.
+    /// Cosine similarity between the profile and a candidate's `θ`
+    /// ([`cosine`]); 0 when either side is all-zero.
     pub fn score(&self, theta: &[f32]) -> f64 {
-        let mut dot = 0.0f64;
-        let mut na = 0.0f64;
-        let mut nb = 0.0f64;
-        for (&a, &b) in self.accumulated.iter().zip(theta) {
-            dot += a as f64 * b as f64;
-            na += (a as f64) * (a as f64);
-            nb += (b as f64) * (b as f64);
-        }
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na.sqrt() * nb.sqrt())
-        }
+        cosine(&self.accumulated, theta)
     }
 
     /// Number of observed documents.

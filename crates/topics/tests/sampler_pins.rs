@@ -1,7 +1,7 @@
-//! Bit pins for the Gibbs samplers: each test trains one family on a fixed
-//! synthetic corpus and compares an FNV-1a digest of the bits of φ, the
-//! training-document distributions and a few inferred distributions with
-//! a recorded constant.
+//! Bit pins for four Gibbs samplers (LDA, Labeled LDA, BTM and HDP): each
+//! test trains one family on a fixed synthetic corpus and compares an
+//! FNV-1a digest of the bits of φ, the training-document distributions and
+//! a few inferred distributions with a recorded constant.
 //!
 //! Two runs of the same build agreeing says nothing about whether a kernel
 //! change moved a draw; these constants do. A change to a sampler that is
@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 
 use pmr_text::vocab::TermId;
 use pmr_topics::{
-    AtmConfig, AtmModel, BtmConfig, BtmModel, DmmConfig, DmmModel, HdpConfig, HdpModel, LdaConfig,
-    LdaModel, LldaConfig, LldaModel, TopicCorpus, TopicModel, WordTopic,
+    BtmConfig, BtmModel, HdpConfig, HdpModel, LdaConfig, LdaModel, LldaConfig, LldaModel,
+    TopicCorpus, TopicModel, WordTopic,
 };
 
 /// Topics of the parametric samplers (K ≥ 32, so every word row of the
@@ -30,9 +30,8 @@ const DOCS: usize = 240;
 /// A seeded corpus of 240 documents (6–17 tokens) over 480 words: each
 /// document draws most tokens from one cluster, some from a second and
 /// the rest from the shared words. Documents with `d % 3 != 0` carry the
-/// label `cluster % 6` (for Labeled LDA); document `d` has author `d % 20`
-/// (for ATM).
-fn corpus() -> (TopicCorpus, Vec<u32>) {
+/// label `cluster % 6` (for Labeled LDA).
+fn corpus() -> TopicCorpus {
     let mut rng = StdRng::seed_from_u64(20_190_326);
     let mut docs = Vec::with_capacity(DOCS);
     let mut labels = Vec::with_capacity(DOCS);
@@ -57,8 +56,7 @@ fn corpus() -> (TopicCorpus, Vec<u32>) {
     }
     let mut corpus = TopicCorpus::from_token_docs(&docs);
     corpus.labels = labels;
-    let authors = (0..DOCS as u32).map(|d| d % 20).collect();
-    (corpus, authors)
+    corpus
 }
 
 /// Held-out documents for inference: two in-vocabulary documents, one with
@@ -122,7 +120,7 @@ impl Digest {
 
 #[test]
 fn lda_bits_are_pinned() {
-    let (corpus, _) = corpus();
+    let corpus = corpus();
     let model = LdaModel::train(&LdaConfig::paper(K, 25, 7), &corpus);
     let mut digest = Digest::new();
     digest.phi(model.phi());
@@ -135,7 +133,7 @@ fn lda_bits_are_pinned() {
 
 #[test]
 fn llda_bits_are_pinned() {
-    let (corpus, _) = corpus();
+    let corpus = corpus();
     let model = LldaModel::train(&LldaConfig::paper(K, 25, 7), &corpus);
     assert_eq!(model.num_labels(), 6);
     let mut digest = Digest::new();
@@ -149,7 +147,7 @@ fn llda_bits_are_pinned() {
 
 #[test]
 fn btm_bits_are_pinned() {
-    let (corpus, _) = corpus();
+    let corpus = corpus();
     let model = BtmModel::train(&BtmConfig::paper(K, 12, 7), &corpus);
     let mut digest = Digest::new();
     digest.phi(model.phi());
@@ -160,7 +158,7 @@ fn btm_bits_are_pinned() {
 
 #[test]
 fn hdp_bits_are_pinned() {
-    let (corpus, _) = corpus();
+    let corpus = corpus();
     let model = HdpModel::train(&HdpConfig::paper(0.1, 25, 7), &corpus);
     let mut digest = Digest::new();
     digest.phi(model.phi());
@@ -173,34 +171,4 @@ fn hdp_bits_are_pinned() {
         (11, 0x4e4f_24ea_158c_d4f8),
         "HDP draws moved"
     );
-}
-
-#[test]
-fn atm_bits_are_pinned() {
-    let (corpus, authors) = corpus();
-    let model = AtmModel::train(&AtmConfig::paper(K, 25, 7), &corpus, &authors);
-    let mut digest = Digest::new();
-    digest.phi(model.phi());
-    for a in 0..model.num_authors() as u32 {
-        digest.f32s(model.author_profile(a).iter().copied());
-    }
-    digest.infer(&model, &probes(&corpus));
-    assert_eq!(digest.0, 0x8c07_bf2f_559f_7003, "ATM draws moved");
-}
-
-#[test]
-fn dmm_bits_are_pinned() {
-    let (corpus, _) = corpus();
-    let model =
-        DmmModel::train(&DmmConfig { topics: K, iterations: 15, ..DmmConfig::default() }, &corpus);
-    let mut digest = Digest::new();
-    digest.phi(model.phi());
-    for d in 0..corpus.len() {
-        digest.usize(model.assignment(d));
-    }
-    for doc in probes(&corpus) {
-        digest.usize(model.classify(&doc));
-    }
-    digest.infer(&model, &probes(&corpus));
-    assert_eq!(digest.0, 0x832d_ef9e_6c3c_0fe3, "DMM draws moved");
 }

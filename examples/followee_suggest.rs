@@ -10,11 +10,13 @@
 //! cargo run --release --example followee_suggest
 //! ```
 
-use pmr::bag::{AggregationFunction, BagVectorizer, SparseVector, WeightingScheme};
-use pmr::core::{PreparedCorpus, RepresentationSource, SplitConfig};
+use pmr::bag::{
+    AggregationFunction, BagSimilarity, IndexedVectorizer, ScoringKernel, SparseVector,
+    WeightingScheme,
+};
+use pmr::core::{GramKind, PreparedCorpus, RepresentationSource, SplitConfig};
 use pmr::sim::interests::cosine as interest_cosine;
-use pmr::sim::{generate_corpus, ScalePreset, SimConfig, TweetId, UserId};
-use pmr::text::token_ngrams;
+use pmr::sim::{generate_corpus, ScalePreset, SimConfig, UserId};
 
 fn main() {
     let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 33));
@@ -25,13 +27,15 @@ fn main() {
     let already: std::collections::HashSet<UserId> =
         prepared.corpus.graph.followees(user).iter().copied().collect();
 
-    // User model from her retweets.
+    // User model from her retweets: TN unigrams + TF-IDF.
     let train = prepared.split.train_ids(&prepared.corpus, user, RepresentationSource::R);
-    let grams = |id: TweetId| token_ngrams(prepared.content(id), 1);
-    let train_grams: Vec<Vec<String>> = train.iter().map(|&id| grams(id)).collect();
-    let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, train_grams.iter());
-    let vectors: Vec<SparseVector> = train_grams.iter().map(|g| vectorizer.transform(g)).collect();
+    let grams = prepared.gram_table(GramKind::Token, 1);
+    let vectorizer =
+        IndexedVectorizer::fit(WeightingScheme::TFIDF, train.iter().map(|&id| grams.doc(id)));
+    let vectors: Vec<SparseVector> =
+        train.iter().map(|&id| vectorizer.transform(grams.doc(id))).collect();
     let user_model = AggregationFunction::Centroid.aggregate(&vectors, &[]);
+    let kernel = ScoringKernel::new(BagSimilarity::Cosine, &user_model);
 
     // Candidates: everyone she does not follow, modeled by their originals.
     let mut ranked: Vec<(f64, UserId)> = prepared
@@ -44,9 +48,9 @@ fn main() {
                 return None;
             }
             let vecs: Vec<SparseVector> =
-                originals.iter().map(|&id| vectorizer.transform(&grams(id))).collect();
+                originals.iter().map(|&id| vectorizer.transform(grams.doc(id))).collect();
             let candidate_model = AggregationFunction::Centroid.aggregate(&vecs, &[]);
-            Some((pmr::bag::similarity::cosine(&user_model, &candidate_model), v))
+            Some((kernel.score(&candidate_model), v))
         })
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));

@@ -14,10 +14,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use pmr::bag::{AggregationFunction, BagVectorizer, SparseVector, WeightingScheme};
-use pmr::core::{PreparedCorpus, RepresentationSource, SplitConfig};
+use pmr::bag::{
+    AggregationFunction, BagSimilarity, IndexedVectorizer, ScoringKernel, SparseVector,
+    WeightingScheme,
+};
+use pmr::core::{GramKind, PreparedCorpus, RepresentationSource, SplitConfig};
 use pmr::sim::{generate_corpus, ScalePreset, SimConfig, TweetId};
-use pmr::text::token_ngrams;
 
 fn main() {
     let corpus = generate_corpus(&SimConfig::preset(ScalePreset::Smoke, 21));
@@ -54,20 +56,22 @@ fn main() {
         tag_tweets.len()
     );
 
-    let grams = |id: TweetId| token_ngrams(prepared.content(id), 1);
-    let train_grams: Vec<Vec<String>> = train.iter().map(|&id| grams(id)).collect();
-    let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, train_grams.iter());
-    let vectors: Vec<SparseVector> = train_grams.iter().map(|g| vectorizer.transform(g)).collect();
+    let grams = prepared.gram_table(GramKind::Token, 1);
+    let vectorizer =
+        IndexedVectorizer::fit(WeightingScheme::TFIDF, train.iter().map(|&id| grams.doc(id)));
+    let vectors: Vec<SparseVector> =
+        train.iter().map(|&id| vectorizer.transform(grams.doc(id))).collect();
     let user_model = AggregationFunction::Centroid.aggregate(&vectors, &[]);
+    let kernel = ScoringKernel::new(BagSimilarity::Cosine, &user_model);
 
     // One document model per hashtag: centroid of its supporting tweets.
     let mut ranked: Vec<(f64, String)> = tag_tweets
         .iter()
         .map(|(tag, tweets)| {
             let vecs: Vec<SparseVector> =
-                tweets.iter().map(|&id| vectorizer.transform(&grams(id))).collect();
+                tweets.iter().map(|&id| vectorizer.transform(grams.doc(id))).collect();
             let tag_model = AggregationFunction::Centroid.aggregate(&vecs, &[]);
-            (pmr::bag::similarity::cosine(&user_model, &tag_model), tag.clone())
+            (kernel.score(&tag_model), tag.clone())
         })
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));

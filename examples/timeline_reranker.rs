@@ -12,10 +12,13 @@
 //! cargo run --release --example timeline_reranker
 //! ```
 
-use pmr::bag::{BagSimilarity, WeightingScheme};
+use pmr::bag::{
+    AggregationFunction, BagSimilarity, IndexedVectorizer, ScoringKernel, SparseVector,
+    WeightingScheme,
+};
 use pmr::core::config::AggKind;
 use pmr::core::recommender::{score_configuration, ScoringOptions};
-use pmr::core::{ModelConfiguration, PreparedCorpus, RepresentationSource, SplitConfig};
+use pmr::core::{GramKind, ModelConfiguration, PreparedCorpus, RepresentationSource, SplitConfig};
 use pmr::sim::usertype::partition_users;
 use pmr::sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -71,18 +74,17 @@ fn main() {
     // API pieces (the framework returns AP; the display needs the ranking,
     // so we rebuild the same model inline).
     let train = prepared.split.train_ids(&prepared.corpus, user, RepresentationSource::R);
-    let grams = |id| pmr::text::token_ngrams(prepared.content(id), 1);
-    let train_grams: Vec<Vec<String>> = train.iter().map(|&id| grams(id)).collect();
-    let vectorizer = pmr::bag::BagVectorizer::fit(WeightingScheme::TFIDF, train_grams.iter());
-    let vectors: Vec<pmr::bag::SparseVector> =
-        train_grams.iter().map(|g| vectorizer.transform(g)).collect();
-    let user_model = pmr::bag::AggregationFunction::Centroid.aggregate(&vectors, &[]);
+    let grams = prepared.gram_table(GramKind::Token, 1);
+    let vectorizer =
+        IndexedVectorizer::fit(WeightingScheme::TFIDF, train.iter().map(|&id| grams.doc(id)));
+    let vectors: Vec<SparseVector> =
+        train.iter().map(|&id| vectorizer.transform(grams.doc(id))).collect();
+    let user_model = AggregationFunction::Centroid.aggregate(&vectors, &[]);
+    let kernel = ScoringKernel::new(BagSimilarity::Cosine, &user_model);
     let mut ranked: Vec<(f64, pmr::sim::TweetId)> = split
         .test_docs()
         .into_iter()
-        .map(|id| {
-            (pmr::bag::similarity::cosine(&user_model, &vectorizer.transform(&grams(id))), id)
-        })
+        .map(|id| (kernel.score(&vectorizer.transform(grams.doc(id))), id))
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
 

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pmr::bag::{BagSimilarity, BagVectorizer, IndexedVectorizer, ScoringKernel, WeightingScheme};
+use pmr::bag::{BagSimilarity, IndexedVectorizer, ScoringKernel, WeightingScheme};
 use pmr::core::{OnlineGraphModel, OnlineProfile};
 use pmr::graph::{GraphSimilarity, NGramGraph};
 use pmr::text::vocab::{TermId, Vocabulary};
@@ -24,16 +24,6 @@ fn ids(space: &mut Vocabulary, text: &str) -> Vec<TermId> {
 /// [`docs`] interned into `space`.
 fn interned_docs(space: &mut Vocabulary) -> Vec<Vec<TermId>> {
     docs().iter().map(|d| d.iter().map(|g| space.intern(g)).collect()).collect()
-}
-
-#[test]
-fn bag_vectorizer_roundtrips() {
-    let v = BagVectorizer::fit(WeightingScheme::TFIDF, docs().iter());
-    let json = serde_json::to_string(&v).expect("serializes");
-    let back: BagVectorizer = serde_json::from_str(&json).expect("deserializes");
-    let probe = vec!["cat".to_owned(), "bug".to_owned()];
-    assert_eq!(v.transform(&probe), back.transform(&probe));
-    assert_eq!(v.dimensionality(), back.dimensionality());
 }
 
 #[test]
