@@ -93,11 +93,10 @@ fn fold_event(
     fnv(hash, text.as_bytes());
 }
 
-/// Probe child: generate one tier in one mode, print its `probes` row.
-/// The stream hash is FNV-1a over every event's fields and text, so the
-/// streaming and materialized probes of a tier must agree.
-fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
-    let start = Instant::now();
+/// Generate one tier's stream in one mode: its event count and its stream
+/// hash, FNV-1a over every event's fields and text, so the streaming and
+/// materialized modes of a tier must agree.
+fn stream_hash(users: usize, seed: u64, materialized: bool) -> (u64, u64) {
     let gen = StreamGenerator::plan(ScaleConfig::tier(users, seed));
     let mut hash = FNV_OFFSET;
     let events = if materialized {
@@ -124,6 +123,13 @@ fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
         }
         count
     };
+    (events, hash)
+}
+
+/// Probe child: generate one tier in one mode, print its `probes` row.
+fn run_probe(users: usize, seed: u64, materialized: bool) -> ! {
+    let start = Instant::now();
+    let (events, hash) = stream_hash(users, seed, materialized);
     let wall_s = start.elapsed().as_secs_f64();
     let probe = fields! {
         "users": users, "mode": if materialized { "materialized" } else { "streaming" },
@@ -260,6 +266,16 @@ mod tests {
                 assert_eq!((users, seed, materialized), (1000, 7, true))
             }
             other => panic!("not a probe: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_1k_tier_streams_match_the_committed_hash() {
+        // `results/BENCH_scale.json`'s 1k-tier `stream_hash` and `events`,
+        // in both modes: a generator change that keeps every draw keeps
+        // them.
+        for materialized in [false, true] {
+            assert_eq!(stream_hash(1_000, 42, materialized), (7_468, 12_598_518_541_589_304_525));
         }
     }
 

@@ -27,7 +27,7 @@ use crate::interests::{dirichlet, sample_topic};
 use crate::language::{synth_word, LanguageModel};
 use crate::textgen::render_tweet;
 use crate::tweet::{Timestamp, Tweet, TweetId};
-use crate::user::{User, UserId};
+use crate::user::{alignment, squared_norm, User, UserId};
 
 /// Generate a corpus from a configuration. Deterministic in `cfg`.
 pub fn generate_corpus(cfg: &SimConfig) -> Corpus {
@@ -228,6 +228,12 @@ fn generate_retweets(
     // content on real platforms is skewed toward popular accounts.
     let popularity: Vec<f64> =
         users.iter().map(|u| 1.0 + graph.followers(u.id).len() as f64).collect();
+    // Per-reader tables over authors, refilled for each reader: whether the
+    // reader follows the author, and the reader's affinity for the author.
+    let mut follows = vec![false; users.len()];
+    let mut affinities = vec![1.0f64; users.len()];
+    let (mut feed, mut feed_weights) = (Vec::new(), Vec::new());
+    let (mut discovery, mut disc_weights) = (Vec::new(), Vec::new());
     for u in users {
         // Activity-coupled sharpness: see `SimConfig::gamma_activity_coupling`.
         let ratio = if u.planned_incoming == 0 {
@@ -237,45 +243,41 @@ fn generate_retweets(
         };
         let c = cfg.gamma_activity_coupling;
         let gamma_eff = cfg.retweet_gamma * (1.0 - c + c * ratio);
-        // Feed pool: originals authored by followees.
-        let feed: Vec<usize> =
-            (0..num_originals).filter(|&i| graph.follows(u.id, tweets[i].author)).collect();
+        follows.fill(false);
+        for &v in graph.followees(u.id) {
+            follows[v.index()] = true;
+        }
+        for (a, slot) in affinities.iter_mut().enumerate() {
+            *slot = affinity(cfg, u.id, UserId(a as u32));
+        }
+        let interest_norm = squared_norm(&u.interests);
+        // Feed pool: originals authored by followees. Discovery pool:
+        // everything else not authored by u.
+        feed.clear();
+        feed_weights.clear();
+        discovery.clear();
+        disc_weights.clear();
+        for (i, t) in tweets[..num_originals].iter().enumerate() {
+            let author = t.author.index();
+            let in_feed = follows[author];
+            if !in_feed && t.author == u.id {
+                continue;
+            }
+            let align = alignment(&u.interests, interest_norm, &t.topics) as f64;
+            let lang = if t.language == u.language { 1.0 } else { cfg.cross_language_discount };
+            let interest = (gamma_eff * align).exp();
+            if in_feed {
+                feed.push(i);
+                feed_weights.push(interest * lang * affinities[author]);
+            } else {
+                discovery.push(i);
+                disc_weights.push(interest * popularity[author] * lang * affinities[author]);
+            }
+        }
         let want_feed = ((u.planned_retweets as f64) * cfg.retweet_from_feed).round() as usize;
         let n_feed = want_feed.min(((feed.len() as f64) * cfg.max_feed_retweet_share) as usize);
-        let feed_weights: Vec<f64> = feed
-            .iter()
-            .map(|&i| {
-                let align = u.interest_alignment(&tweets[i].topics) as f64;
-                let lang = if tweets[i].language == u.language {
-                    1.0
-                } else {
-                    cfg.cross_language_discount
-                };
-                (gamma_eff * align).exp() * lang * affinity(cfg, u.id, tweets[i].author)
-            })
-            .collect();
         let chosen_feed = weighted_sample_without_replacement(rng, &feed, &feed_weights, n_feed);
-        // Discovery pool: everything else not authored by u.
         let n_disc = u.planned_retweets.saturating_sub(chosen_feed.len());
-        let feed_set: std::collections::HashSet<usize> = feed.iter().copied().collect();
-        let discovery: Vec<usize> = (0..num_originals)
-            .filter(|&i| tweets[i].author != u.id && !feed_set.contains(&i))
-            .collect();
-        let disc_weights: Vec<f64> = discovery
-            .iter()
-            .map(|&i| {
-                let align = u.interest_alignment(&tweets[i].topics) as f64;
-                let lang = if tweets[i].language == u.language {
-                    1.0
-                } else {
-                    cfg.cross_language_discount
-                };
-                (gamma_eff * align).exp()
-                    * popularity[tweets[i].author.index()]
-                    * lang
-                    * affinity(cfg, u.id, tweets[i].author)
-            })
-            .collect();
         let chosen_disc =
             weighted_sample_without_replacement(rng, &discovery, &disc_weights, n_disc);
         for orig_idx in chosen_feed.into_iter().chain(chosen_disc) {
@@ -317,6 +319,11 @@ pub(crate) fn affinity(cfg: &SimConfig, reader: UserId, author: UserId) -> f64 {
 
 /// Weighted sampling without replacement (Efraimidis–Spirakis): draw `k`
 /// items with probability proportional to `weights`, via keys `u^(1/w)`.
+///
+/// Every item draws its key, whatever `k` is. The result lists the `k`
+/// largest keys in descending order, ties in input order: the order a
+/// stable sort of all keys gives, found by selecting the top `k` first and
+/// sorting only those.
 pub(crate) fn weighted_sample_without_replacement(
     rng: &mut StdRng,
     items: &[usize],
@@ -324,18 +331,22 @@ pub(crate) fn weighted_sample_without_replacement(
     k: usize,
 ) -> Vec<usize> {
     debug_assert_eq!(items.len(), weights.len());
-    let mut keyed: Vec<(f64, usize)> = items
+    let mut keyed: Vec<(f64, usize)> = weights
         .iter()
-        .zip(weights)
-        .map(|(&item, &w)| {
+        .enumerate()
+        .map(|(pos, &w)| {
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             let key = if w <= 0.0 { f64::NEG_INFINITY } else { u.ln() / w };
-            (key, item)
+            (key, pos)
         })
         .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let by_key = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if 0 < k && k < keyed.len() {
+        keyed.select_nth_unstable_by(k - 1, by_key);
+    }
     keyed.truncate(k);
-    keyed.into_iter().map(|(_, item)| item).collect()
+    keyed.sort_unstable_by(by_key);
+    keyed.into_iter().map(|(_, pos)| items[pos]).collect()
 }
 
 pub(crate) fn index_timelines(
@@ -515,5 +526,62 @@ mod tests {
         let chosen = weighted_sample_without_replacement(&mut rng, &items, &weights, 20);
         let set: std::collections::HashSet<usize> = chosen.iter().copied().collect();
         assert_eq!(set.len(), 20);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// The sampler before top-k selection, kept as the reference: a stable
+    /// sort of every key, truncated to `k`.
+    fn sample_by_full_sort(
+        rng: &mut StdRng,
+        items: &[usize],
+        weights: &[f64],
+        k: usize,
+    ) -> Vec<usize> {
+        let mut keyed: Vec<(f64, usize)> = items
+            .iter()
+            .zip(weights)
+            .map(|(&item, &w)| {
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let key = if w <= 0.0 { f64::NEG_INFINITY } else { u.ln() / w };
+                (key, item)
+            })
+            .collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+        keyed.truncate(k);
+        keyed.into_iter().map(|(_, item)| item).collect()
+    }
+
+    /// Weights drawn from this palette repeat, and zero or negative weights
+    /// (keys −∞) and infinite weights (keys −0) tie, so ties are common.
+    const PALETTE: [f64; 7] = [0.0, -1.0, 0.5, 1.0, 1.0, 3.0, f64::INFINITY];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn top_k_selection_matches_the_full_sort(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 0..40),
+            seed in 0u64..1_000_000,
+        ) {
+            let weights: Vec<f64> = picks.iter().map(|&p| PALETTE[p]).collect();
+            let n = weights.len();
+            // Items unlike their positions, so a position leaking into the
+            // output shows.
+            let items: Vec<usize> = (0..n).map(|i| 1_000 + 7 * i).collect();
+            for k in [0, 1, n / 2, n.saturating_sub(1), n, n + 3] {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut reference = StdRng::seed_from_u64(seed);
+                let got = weighted_sample_without_replacement(&mut fast, &items, &weights, k);
+                let want = sample_by_full_sort(&mut reference, &items, &weights, k);
+                prop_assert_eq!(got, want, "k = {} of n = {}", k, n);
+                prop_assert_eq!(fast.next_u64(), reference.next_u64(), "RNG state after k = {}", k);
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@
 //! corpora, and this pipeline is pinned against *itself* (streaming ≡
 //! materialized) rather than against the legacy byte stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -56,7 +56,7 @@ use crate::language::LanguageModel;
 use crate::stream::StreamEvent;
 use crate::textgen::render_tweet;
 use crate::tweet::{Timestamp, Tweet, TweetId};
-use crate::user::{User, UserId};
+use crate::user::{alignment, squared_norm, User, UserId};
 
 /// Seed-stream constants: each generation stage draws from its own derived
 /// seed space so stages never share (or reorder) RNG state.
@@ -506,36 +506,28 @@ impl StreamGenerator {
     }
 
     /// Interest alignment of a plan's topic pair against an interest
-    /// vector — [`User::interest_alignment`] over the plan encoding.
-    fn alignment(interests: &[f32], o: &OriginalPlan) -> f32 {
+    /// vector whose squared norm is `interest_norm` —
+    /// [`User::interest_alignment`] over the plan encoding.
+    fn alignment(interests: &[f32], interest_norm: f32, o: &OriginalPlan) -> f32 {
         let pairs: [(usize, f32); 2] = if o.side == o.topic {
             [(o.topic as usize, 1.0), (o.topic as usize, 0.0)]
         } else {
             [(o.topic as usize, 0.85), (o.side as usize, 0.15)]
         };
-        let mut dot = 0.0f32;
-        let mut t_norm = 0.0f32;
-        for &(k, w) in &pairs {
-            dot += interests.get(k).copied().unwrap_or(0.0) * w;
-            t_norm += w * w;
-        }
-        let i_norm: f32 = interests.iter().map(|w| w * w).sum();
-        if t_norm == 0.0 || i_norm == 0.0 {
-            return 0.0;
-        }
-        dot / (t_norm.sqrt() * i_norm.sqrt())
+        alignment(interests, interest_norm, &pairs)
     }
 
     fn retweet_weight(
         &self,
         plan: &UserPlan,
+        interest_norm: f32,
         reader: u32,
         o: &OriginalPlan,
         gamma_eff: f64,
         popularity: Option<f64>,
     ) -> f64 {
         let cfg = &self.cfg.base;
-        let align = Self::alignment(&plan.interests, o) as f64;
+        let align = Self::alignment(&plan.interests, interest_norm, o) as f64;
         let lang = if o.lang == plan.language { 1.0 } else { cfg.cross_language_discount };
         (gamma_eff * align).exp()
             * lang
@@ -571,6 +563,7 @@ impl StreamGenerator {
             };
             let c = cfg.gamma_activity_coupling;
             let gamma_eff = cfg.retweet_gamma * (1.0 - c + c * ratio);
+            let interest_norm = squared_norm(&plan.interests);
             // Feed pool: plan positions of all followee originals.
             let mut feed: Vec<usize> = Vec::new();
             for &v in self.followees(UserId(u)) {
@@ -582,7 +575,10 @@ impl StreamGenerator {
             let n_feed = want_feed.min(((feed.len() as f64) * cfg.max_feed_retweet_share) as usize);
             let feed_weights: Vec<f64> = feed
                 .iter()
-                .map(|&p| self.retweet_weight(&plan, u, &self.originals[p], gamma_eff, None))
+                .map(|&p| {
+                    let o = &self.originals[p];
+                    self.retweet_weight(&plan, interest_norm, u, o, gamma_eff, None)
+                })
                 .collect();
             let chosen_feed =
                 weighted_sample_without_replacement(&mut rng, &feed, &feed_weights, n_feed);
@@ -592,6 +588,8 @@ impl StreamGenerator {
             let n_disc = plan.planned_retweets.saturating_sub(chosen_feed.len());
             let target = n_disc * self.cfg.discovery_oversample.max(1);
             let mut candidates: Vec<usize> = Vec::with_capacity(target);
+            // Every plan position already in the feed or among the candidates.
+            let mut seen: HashSet<usize> = feed.iter().copied().collect();
             let mut attempts = 0usize;
             while candidates.len() < target && attempts < target * 10 + 20 {
                 attempts += 1;
@@ -605,7 +603,7 @@ impl StreamGenerator {
                     continue;
                 }
                 let p = (start + rng.gen_range(0..len)) as usize;
-                if candidates.contains(&p) || feed.contains(&p) {
+                if !seen.insert(p) {
                     continue;
                 }
                 candidates.push(p);
@@ -615,7 +613,7 @@ impl StreamGenerator {
                 .map(|&p| {
                     let o = &self.originals[p];
                     let pop = 1.0 + self.follower_counts[o.author as usize] as f64;
-                    self.retweet_weight(&plan, u, o, gamma_eff, Some(pop))
+                    self.retweet_weight(&plan, interest_norm, u, o, gamma_eff, Some(pop))
                 })
                 .collect();
             let chosen_disc =

@@ -66,18 +66,29 @@ impl User {
     /// Interests are a dense distribution, `topics` a sparse one. This is the
     /// quantity the retweet process thresholds on.
     pub fn interest_alignment(&self, topics: &[(usize, f32)]) -> f32 {
-        let mut dot = 0.0f32;
-        let mut t_norm = 0.0f32;
-        for &(k, w) in topics {
-            dot += self.interests.get(k).copied().unwrap_or(0.0) * w;
-            t_norm += w * w;
-        }
-        let i_norm: f32 = self.interests.iter().map(|w| w * w).sum();
-        if t_norm == 0.0 || i_norm == 0.0 {
-            return 0.0;
-        }
-        dot / (t_norm.sqrt() * i_norm.sqrt())
+        alignment(&self.interests, squared_norm(&self.interests), topics)
     }
+}
+
+/// Squared Euclidean norm of an interest vector: the reader-only part of
+/// [`alignment`], which the retweet passes compute once per reader.
+pub(crate) fn squared_norm(interests: &[f32]) -> f32 {
+    interests.iter().map(|w| w * w).sum()
+}
+
+/// Cosine between dense `interests`, whose [`squared_norm`] is
+/// `interest_norm`, and a sparse topic mixture.
+pub(crate) fn alignment(interests: &[f32], interest_norm: f32, topics: &[(usize, f32)]) -> f32 {
+    let mut dot = 0.0f32;
+    let mut t_norm = 0.0f32;
+    for &(k, w) in topics {
+        dot += interests.get(k).copied().unwrap_or(0.0) * w;
+        t_norm += w * w;
+    }
+    if t_norm == 0.0 || interest_norm == 0.0 {
+        return 0.0;
+    }
+    dot / (t_norm.sqrt() * interest_norm.sqrt())
 }
 
 #[cfg(test)]

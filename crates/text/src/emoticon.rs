@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::token::has_prefix;
+
 /// The nine emoticon categories used as Labeled-LDA labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum EmoticonClass {
@@ -71,7 +73,7 @@ impl EmoticonClass {
 /// Longest-match entries must come first within a shared prefix; the matcher
 /// below tries longer forms before shorter ones regardless of order, so the
 /// table order is purely cosmetic.
-const LEXICON: &[(&str, EmoticonClass)] = &[
+pub(crate) const LEXICON: &[(&str, EmoticonClass)] = &[
     (":-)", EmoticonClass::Smile),
     (":)", EmoticonClass::Smile),
     ("(-:", EmoticonClass::Smile),
@@ -104,9 +106,6 @@ const LEXICON: &[(&str, EmoticonClass)] = &[
     (":-p", EmoticonClass::Laugh),
 ];
 
-/// Longest emoticon length in characters, bounding the match window.
-const MAX_LEN: usize = 3;
-
 /// Try to match an emoticon starting at `start` in `chars` (already
 /// lower-cased). Returns the exclusive end index of the longest match.
 ///
@@ -117,10 +116,9 @@ const MAX_LEN: usize = 3;
 /// emoticons such as `:)` may directly follow a word ("cool:)").
 pub fn match_emoticon(chars: &[char], start: usize) -> Option<usize> {
     let preceded_by_word = start > 0 && chars[start - 1].is_alphanumeric();
-    let window: String = chars[start..].iter().take(MAX_LEN).collect();
     let mut best: Option<usize> = None;
     for (surface, _) in LEXICON {
-        if window.starts_with(surface) {
+        if has_prefix(&chars[start..], surface) {
             let end = start + surface.chars().count();
             let first_alnum = surface.chars().next().is_some_and(|c| c.is_alphanumeric());
             let last_alnum = surface.chars().last().is_some_and(|c| c.is_alphanumeric());

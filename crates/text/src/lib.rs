@@ -35,6 +35,9 @@ pub mod ngram;
 pub mod token;
 pub mod vocab;
 
+#[cfg(test)]
+mod reference;
+
 pub use emoticon::{classify_emoticon, EmoticonClass};
 pub use lang::{detect_language, Language};
 pub use ngram::{char_ngrams, token_ngrams};

@@ -94,6 +94,17 @@ impl Tokenizer {
 
     /// Tokenize a raw tweet into normalized tokens.
     pub fn tokenize(&self, text: &str) -> Vec<Token> {
+        self.tokenize_with(text, match_url, emoticon::match_emoticon)
+    }
+
+    /// The tokenizer loop over the given URL and emoticon matchers, each of
+    /// which returns the exclusive end of a match at a position.
+    fn tokenize_with(
+        &self,
+        text: &str,
+        match_url: impl Fn(&[char], usize) -> Option<usize>,
+        match_emoticon: impl Fn(&[char], usize) -> Option<usize>,
+    ) -> Vec<Token> {
         let lowered;
         let text = if self.opts.lowercase {
             lowered = text.to_lowercase();
@@ -128,7 +139,7 @@ impl Tokenizer {
                 continue;
             }
             // Emoticons: longest match from the lexicon.
-            if let Some(end) = emoticon::match_emoticon(&chars, i) {
+            if let Some(end) = match_emoticon(&chars, i) {
                 tokens.push(Token::new(collect(&chars, i, end), TokenKind::Emoticon));
                 i = end;
                 continue;
@@ -187,13 +198,24 @@ fn squeeze(chars: &[char], max_run: usize) -> String {
     out
 }
 
+/// Whether `chars` begins with the characters of `prefix`.
+pub(crate) fn has_prefix(chars: &[char], prefix: &str) -> bool {
+    let mut rest = chars.iter();
+    prefix.chars().all(|p| rest.next() == Some(&p))
+}
+
+/// The prefixes that open a URL token.
+pub(crate) const URL_PREFIXES: [&str; 3] = ["http://", "https://", "www."];
+
 /// Try to match a URL starting at `start`; returns the exclusive end index.
 fn match_url(chars: &[char], start: usize) -> Option<usize> {
-    const PREFIXES: [&str; 3] = ["http://", "https://", "www."];
-    let rest: String = chars[start..].iter().take(8).collect();
-    if !PREFIXES.iter().any(|p| rest.starts_with(p)) {
-        return None;
-    }
+    let opens = URL_PREFIXES.iter().any(|p| has_prefix(&chars[start..], p));
+    opens.then(|| url_end(chars, start))
+}
+
+/// The exclusive end of a URL that starts at `start`: the next whitespace,
+/// with trailing sentence punctuation trimmed.
+pub(crate) fn url_end(chars: &[char], start: usize) -> usize {
     let mut end = start;
     while end < chars.len() && !chars[end].is_whitespace() {
         end += 1;
@@ -202,7 +224,7 @@ fn match_url(chars: &[char], start: usize) -> Option<usize> {
     while end > start && matches!(chars[end - 1], '.' | ',' | ')' | '!' | '?' | ';' | ':') {
         end -= 1;
     }
-    Some(end)
+    end
 }
 
 #[cfg(test)]
@@ -372,6 +394,56 @@ mod proptests {
         fn tokens_are_whitespace_free(text in "\\PC{0,120}") {
             for t in tokenize(&text) {
                 prop_assert!(!t.text.chars().any(char::is_whitespace), "{:?}", t.text);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference_proptests {
+    use super::*;
+    use crate::emoticon::LEXICON;
+    use crate::reference;
+    use proptest::prelude::*;
+
+    /// Pieces that open, nearly open or interrupt every token class: URL
+    /// prefixes and near misses, markers, word characters, non-ASCII
+    /// letters whose lower case changes length or form, punctuation and
+    /// whitespace. Every lexicon emoticon, in lower and upper case, is
+    /// added on top.
+    const PIECES: &[&str] = &[
+        "http://", "https://", "www.", "HTTP://", "Www.", "http:/", "https:", "www", "ww.", "#",
+        "@", "'", "_", "0", "3", "42", "a", "x", "d", "o", "p", "s", "X", "D", "yeeees", "Σ", "İ",
+        "é", "中", "ß", " ", "  ", "\t", "\n", ".", ",", ")", "(", ":", ";", "-", "=", "<", "/",
+        "\\", "|", "!", "?",
+    ];
+
+    fn pieces() -> Vec<String> {
+        let mut all: Vec<String> = PIECES.iter().map(|p| p.to_string()).collect();
+        for (surface, _) in LEXICON {
+            all.push(surface.to_string());
+            all.push(surface.to_uppercase());
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The slice matchers tokenize exactly as the `String`-window
+        /// references do, token for token.
+        #[test]
+        fn tokenize_matches_the_string_window_reference(
+            picks in proptest::collection::vec(0usize..1_000, 0..24),
+        ) {
+            let pieces = pieces();
+            let text: String = picks.iter().map(|&p| pieces[p % pieces.len()].as_str()).collect();
+            let raw = TokenizerOptions { max_letter_run: 1, lowercase: false };
+            for opts in [TokenizerOptions::default(), raw] {
+                let tokenizer = Tokenizer::new(opts);
+                let want =
+                    tokenizer.tokenize_with(&text, reference::match_url, reference::match_emoticon);
+                prop_assert_eq!(tokenizer.tokenize(&text), want, "{:?}", text);
             }
         }
     }

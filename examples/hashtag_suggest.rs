@@ -87,17 +87,33 @@ fn main() {
     }
     let first_hit = ranked.iter().position(|(_, tag)| truth.contains(tag));
     let mrr = first_hit.map(|i| 1.0 / (i + 1) as f64).unwrap_or(0.0);
-    // A random ordering's expected reciprocal rank of the first relevant
-    // candidate, for reference.
-    let expected_random_mrr = {
-        let n = ranked.len() as f64;
-        let r = ranked.iter().filter(|(_, t)| truth.contains(t)).count() as f64;
-        if r == 0.0 {
-            0.0
-        } else {
-            // E[1/first-hit-rank] under a uniform permutation, sampled.
-            (r / n).max(1.0 / n) // coarse lower bound, printed for scale only
-        }
-    };
-    println!("\nMRR = {mrr:.2} (a random ordering scores around {expected_random_mrr:.2})");
+    let n = ranked.len();
+    let r = ranked.iter().filter(|(_, t)| truth.contains(t)).count();
+    // With one relevant candidate its rank is uniform on 1..=n, so the
+    // expectation is the harmonic number H_n over n.
+    for m in 1..=n.max(9) {
+        let harmonic: f64 = (1..=m).map(|k| 1.0 / k as f64).sum();
+        let exact = expected_random_reciprocal_rank(m, 1);
+        assert!((exact - harmonic / m as f64).abs() < 1e-12, "n = {m}: {exact}");
+    }
+    let expected = expected_random_reciprocal_rank(n, r);
+    println!("\nMRR = {mrr:.2} (a random ordering's expectation: {expected:.2})");
+}
+
+/// E[1 / rank of the first relevant candidate] when `r` of `n` candidates
+/// are relevant and the order is a uniform permutation:
+/// Σ_{k=1}^{n−r+1} (1/k)·C(n−k, r−1)/C(n, r). The first hit lands at rank 1
+/// with probability r/n, and at rank k + 1 with the rank-k probability
+/// times (n−k−r+1)/(n−k). 0 when nothing is relevant.
+fn expected_random_reciprocal_rank(n: usize, r: usize) -> f64 {
+    if r == 0 || r > n {
+        return 0.0;
+    }
+    let mut p_first = r as f64 / n as f64;
+    let mut expected = p_first;
+    for k in 1..=n - r {
+        p_first *= (n - k - r + 1) as f64 / (n - k) as f64;
+        expected += p_first / (k + 1) as f64;
+    }
+    expected
 }
